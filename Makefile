@@ -7,7 +7,7 @@ GO ?= go
 #   make fuzz FUZZTIME=5m
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-invariant lint vet fbvet sarif doc-lint perfgate perfgate-sarif race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate bench-srm bench-require-srm trace-check fuzz soak clean
+.PHONY: all build test test-invariant lint vet fbvet sarif doc-lint race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate bench-srm bench-require-srm trace-check fuzz soak clean
 
 all: build lint test
 
@@ -24,11 +24,13 @@ test-invariant:
 	$(GO) test -tags fbinvariant ./...
 
 # lint = the stock vet suite plus fbvet, the repo-specific analyzers
-# (mapiter, floateq, lockcheck, sizeunits, ndtaint, errflow, hotalloc,
-# retrybound, pkgdoc, and the interprocedural concurrency suite: lockorder,
-# guardedby, goroleak, allowcheck). Both must be clean; findings are
-# suppressed only by a justified //fbvet:allow directive, and allowcheck
-# flags directives that no longer suppress anything.
+# (mapiter, floateq, sizeunits, ndtaint, errflow, retrybound, pkgdoc, the
+# interprocedural concurrency suite lockorder/guardedby/goroleak, and the
+# performance checks hotcomplexity and noescape/inline/nobce, which read a
+# `go build -gcflags='-m -m -d=ssa/check_bce/debug=1'` sweep of the repo —
+# DESIGN.md §11). Both must be clean; findings are suppressed only by a
+# justified //fbvet:allow directive, and allowcheck flags directives that
+# are unjustified or no longer suppress anything.
 lint: vet fbvet
 
 vet:
@@ -49,21 +51,6 @@ sarif:
 doc-lint:
 	$(GO) run ./cmd/fbvet -run pkgdoc ./...
 
-# perfgate runs the fbvet performance-contract suite (internal/analyzers/perf,
-# DESIGN.md §11): a real `go build -gcflags='-m -m -d=ssa/check_bce/debug=1'`
-# sweep whose escape-analysis, inlining, and bounds-check diagnostics are
-# checked against the //fbvet:noescape, //fbvet:inline, and //fbvet:nobce
-# annotations the perf manifest pins on the hot paths. The build cache replays
-# diagnostics for unchanged packages, so repeat runs are cheap.
-perfgate:
-	$(GO) run ./cmd/fbvet -perf ./...
-
-# perfgate-sarif emits the perf-contract findings as SARIF (fbvet-perf.sarif)
-# and validates the log — the artifact CI uploads next to the base-suite one.
-perfgate-sarif:
-	$(GO) run ./cmd/fbvet -perf -format=sarif ./... > fbvet-perf.sarif
-	$(GO) run ./cmd/fbvet -validate fbvet-perf.sarif
-
 # race runs the full suite under the race detector, including the dedicated
 # concurrency tests in internal/srm and internal/store.
 race:
@@ -72,25 +59,44 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-guard runs the no-op-tracer overhead microbenchmarks: the /baseline
-# (no tracer) and /nop (NopTracer installed) variants of the OptCacheSelect
-# and Landlord hot loops must report identical allocs/op — tracing must cost
-# nothing when off. -benchtime=100x keeps it fast enough to gate CI; compare
-# ns/op by eye or with benchstat on a quiet machine.
+# bench-guard runs the no-op-tracer and span-telemetry overhead
+# microbenchmarks and gates their exact alloc counts: the /baseline (no
+# tracer) and /nop (NopTracer installed) variants of the OptCacheSelect and
+# Landlord hot loops must report identical allocs/op — tracing must cost
+# nothing when off — and the disabled, enabled and promoted span paths must
+# report 0 allocs/op. -benchtime=100x keeps it fast enough to gate CI; ns/op
+# on shared machines is too noisy to gate, so compare it by eye or with
+# benchstat on a quiet machine.
 bench-guard:
-	$(GO) test -run '^$$' -bench 'BenchmarkOptCacheSelect' -benchmem -benchtime=100x ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkLandlord$$' -benchmem -benchtime=100x ./internal/policy/landlord/
-	$(GO) test -run '^$$' -bench 'BenchmarkSpan(Disabled|Enabled|Promoted)' -benchmem -benchtime=100x ./internal/obs/span/
+	$(GO) test -run '^$$' -bench 'BenchmarkOptCacheSelect' -benchmem -benchtime=100x ./internal/core/ > bench-guard.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkLandlord$$' -benchmem -benchtime=100x ./internal/policy/landlord/ >> bench-guard.txt
+	awk '/baseline|\/nop/ { print; allocs[++n]=$$(NF-1) } \
+	     END { if (n != 4 || allocs[1] != allocs[2] || allocs[3] != allocs[4]) { \
+	             print "FAIL: nop-tracer variant allocates more than baseline"; exit 1 } }' bench-guard.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSpan(Disabled|Enabled|Promoted)' -benchmem -benchtime=100x ./internal/obs/span/ > span-bench.txt
+	awk '/^BenchmarkSpan/ { print; allocs[++n]=$$(NF-1) } \
+	     END { if (n != 3 || allocs[1] != 0 || allocs[2] != 0 || allocs[3] != 0) { \
+	             print "FAIL: span recording allocates in steady state"; exit 1 } }' span-bench.txt
+
+# One benchmark pipeline per checked-in BENCH file: the go-bench run piped
+# into benchjson, whose -require flags make a run that silently lost an
+# expected benchmark fail instead of writing a thin file. Each target below
+# appends only its output or baseline flags.
+BENCH_CORE = $(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
+	-benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
+	| $(GO) run ./cmd/benchjson -require OptCacheSelect -require Landlord \
+		-require RunEvents -require RunOptFileBundle1000
+BENCH_REPLICATE = $(GO) test -run '^$$' -bench 'BenchmarkPlan|BenchmarkPredictorObserve|BenchmarkReplan' \
+	-benchmem -benchtime=100x ./internal/replicate/ \
+	| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan
+BENCH_SRM = $(GO) run ./cmd/srmbench -self -latency -clients 4 -jobs 50 \
+	| $(GO) run ./cmd/benchjson -require SRMStageP50 -require SRMStageP99 -require SRMThroughput
 
 # bench-json runs the core/landlord/simulate benchmarks and converts the
 # text output into schema-versioned JSON (BENCH_core.json) via benchjson —
-# one point of the benchmark trajectory. The -require flags make a run that
-# silently lost an expected benchmark fail instead of writing a thin file.
+# one point of the benchmark trajectory.
 bench-json:
-	$(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
-		-benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
-		| $(GO) run ./cmd/benchjson -require OptCacheSelect -require Landlord \
-			-require RunEvents -require RunOptFileBundle1000 -out BENCH_core.json
+	$(BENCH_CORE) -out BENCH_core.json
 	@echo wrote BENCH_core.json
 
 # bench-require re-runs the bench-json benchmarks and compares against the
@@ -102,11 +108,7 @@ bench-json:
 # `make bench-json` when a perf change is intentional.
 NSRATIO ?= 10
 bench-require:
-	$(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
-		-benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
-		| $(GO) run ./cmd/benchjson -require OptCacheSelect -require Landlord \
-			-require RunEvents -require RunOptFileBundle1000 \
-			-baseline BENCH_core.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 -out /dev/null
+	$(BENCH_CORE) -baseline BENCH_core.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 -out /dev/null
 
 # bench-compare re-runs the bench-json benchmarks against the checked-in
 # baseline and writes the before/after table to bench-compare.md — the
@@ -114,12 +116,8 @@ bench-require:
 # written even when the comparison regresses (the exit code still fails the
 # step); NSRATIO gates timing exactly as in bench-require.
 bench-compare:
-	$(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
-		-benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
-		| $(GO) run ./cmd/benchjson -require OptCacheSelect -require Landlord \
-			-require RunEvents -require RunOptFileBundle1000 \
-			-baseline BENCH_core.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 \
-			-markdown bench-compare.md -out /dev/null
+	$(BENCH_CORE) -baseline BENCH_core.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 \
+		-markdown bench-compare.md -out /dev/null
 	@echo wrote bench-compare.md
 
 # bench-json-replicate snapshots the replication planner's benchmarks
@@ -127,18 +125,13 @@ bench-compare:
 # BENCH_replicate.json — the planner runs inside the event loop every epoch,
 # so its cost curve is gated like the core select loops.
 bench-json-replicate:
-	$(GO) test -run '^$$' -bench 'BenchmarkPlan|BenchmarkPredictorObserve|BenchmarkReplan' \
-		-benchmem -benchtime=100x ./internal/replicate/ \
-		| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan -out BENCH_replicate.json
+	$(BENCH_REPLICATE) -out BENCH_replicate.json
 	@echo wrote BENCH_replicate.json
 
 # bench-require-replicate compares a fresh run against the checked-in
 # BENCH_replicate.json under the same thresholds as bench-require.
 bench-require-replicate:
-	$(GO) test -run '^$$' -bench 'BenchmarkPlan|BenchmarkPredictorObserve|BenchmarkReplan' \
-		-benchmem -benchtime=100x ./internal/replicate/ \
-		| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan \
-			-baseline BENCH_replicate.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 -out /dev/null
+	$(BENCH_REPLICATE) -baseline BENCH_replicate.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 -out /dev/null
 
 # bench-srm snapshots the serving path's closed-loop latency SLO point into
 # BENCH_srm_latency.json: srmbench drives an in-process SRM server (span
@@ -147,9 +140,7 @@ bench-require-replicate:
 # that benchjson converts. Regenerate when a serving-path change moves the
 # quantiles intentionally.
 bench-srm:
-	$(GO) run ./cmd/srmbench -self -latency -clients 4 -jobs 50 \
-		| $(GO) run ./cmd/benchjson -require SRMStageP50 -require SRMStageP99 -require SRMThroughput \
-			-out BENCH_srm_latency.json
+	$(BENCH_SRM) -out BENCH_srm_latency.json
 	@echo wrote BENCH_srm_latency.json
 
 # bench-require-srm re-runs the latency bench and gates only on presence
@@ -159,9 +150,7 @@ bench-srm:
 # noisy for a ratio gate, so the timing comparison stays off (-max-ns-ratio
 # 0); trend review happens on the checked-in trajectory instead.
 bench-require-srm:
-	$(GO) run ./cmd/srmbench -self -latency -clients 4 -jobs 50 \
-		| $(GO) run ./cmd/benchjson -require SRMStageP50 -require SRMStageP99 -require SRMThroughput \
-			-baseline BENCH_srm_latency.json -max-ns-ratio 0 -out /dev/null
+	$(BENCH_SRM) -baseline BENCH_srm_latency.json -max-ns-ratio 0 -out /dev/null
 
 # trace-check replays the golden event trace through the offline validator:
 # reconstructed residency must satisfy the cache invariants at the golden

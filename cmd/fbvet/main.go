@@ -18,18 +18,12 @@
 // to stderr. -validate structurally checks an existing SARIF file and
 // exits 0 (valid) or 2.
 //
-// -perf switches to the performance-contract suite (internal/analyzers/perf):
-//
-//	go run ./cmd/fbvet -perf ./...
-//	go run ./cmd/fbvet -perf -format=sarif ./... > fbvet-perf.sarif
-//
-// It compiles the target packages with -gcflags='-m -m -d=ssa/check_bce/debug=1'
-// and enforces the //fbvet:noescape, //fbvet:inline, and //fbvet:nobce
-// function annotations against the compiler's own escape/inline/BCE
-// diagnostics, plus the hotcomplexity sort-in-hot-loop check. It is a
-// separate mode because it executes real builds; the default suite stays a
-// pure go/types pass. Exit codes, -run, -list, and -format behave the same
-// in both modes.
+// The suite includes the compiler-contract analyzers (noescape, inline,
+// nobce), which read the escape/inline/bounds-check diagnostics of a
+// `go build -gcflags='-m -m -d=ssa/check_bce/debug=1'` sweep over the same
+// patterns. fbvet builds that sweep only when a selected analyzer needs it:
+// `fbvet ./...` enforces everything, while `fbvet -run pkgdoc ./...` never
+// compiles anything.
 package main
 
 import (
@@ -38,7 +32,6 @@ import (
 	"os"
 
 	"fbcache/internal/analyzers"
-	"fbcache/internal/analyzers/perf"
 )
 
 func main() {
@@ -47,19 +40,12 @@ func main() {
 		describe = flag.Bool("list", false, "list available analyzers and exit")
 		format   = flag.String("format", "text", "output format: text or sarif")
 		validate = flag.String("validate", "", "validate a SARIF file and exit (no analysis)")
-		perfMode = flag.Bool("perf", false, "run the performance-contract suite (compiles with -gcflags diagnostics)")
 	)
 	flag.Parse()
 
 	if *describe {
-		if *perfMode {
-			for _, a := range perf.All() {
-				fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-			}
-			return
-		}
 		for _, a := range analyzers.All() {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
+			fmt.Printf("%-13s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -88,45 +74,29 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
+	suite := analyzers.All()
+	if *runList != "" {
+		var err error
+		suite, err = analyzers.ByName(*runList)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fbvet: %v\n", err)
+			os.Exit(2)
+		}
+	}
+
 	pkgs, err := analyzers.Load(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
-
+	sw, err := analyzers.SweepFor(".", patterns, suite)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fbvet: %v\n", err)
+		os.Exit(2)
+	}
 	var diags []analyzers.Diagnostic
-	var rules []ruleMeta
-	if *perfMode {
-		suite := perf.All()
-		if *runList != "" {
-			suite, err = perf.ByName(*runList)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fbvet: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		rules = perfRules(suite)
-		sw, err := perf.SweepPackages(".", patterns)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fbvet: %v\n", err)
-			os.Exit(2)
-		}
-		for _, pkg := range pkgs {
-			diags = append(diags, perf.Run(pkg, sw, suite)...)
-		}
-	} else {
-		suite := analyzers.All()
-		if *runList != "" {
-			suite, err = analyzers.ByName(*runList)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fbvet: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		rules = baseRules(suite)
-		for _, pkg := range pkgs {
-			diags = append(diags, analyzers.Run(pkg, suite)...)
-		}
+	for _, pkg := range pkgs {
+		diags = append(diags, analyzers.Run(pkg, suite, sw)...)
 	}
 
 	switch *format {
@@ -137,7 +107,7 @@ func main() {
 		if err != nil {
 			root = "."
 		}
-		if err := writeSARIF(os.Stdout, rules, diags, root); err != nil {
+		if err := writeSARIF(os.Stdout, suite, diags, root); err != nil {
 			fmt.Fprintf(os.Stderr, "fbvet: writing SARIF: %v\n", err)
 			os.Exit(2)
 		}

@@ -29,7 +29,7 @@ func sampleDiags() []analyzers.Diagnostic {
 // exact bytes fbvet would upload pass the structural 2.1.0 check.
 func TestWriteSARIFValidates(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeSARIF(&buf, baseRules(analyzers.All()), sampleDiags(), "."); err != nil {
+	if err := writeSARIF(&buf, analyzers.All(), sampleDiags(), "."); err != nil {
 		t.Fatalf("writeSARIF: %v", err)
 	}
 	if err := validateSARIF(buf.Bytes()); err != nil {
@@ -42,7 +42,7 @@ func TestWriteSARIFValidates(t *testing.T) {
 // and slash-separated relative URIs.
 func TestWriteSARIFShape(t *testing.T) {
 	var buf bytes.Buffer
-	suite := baseRules(analyzers.All())
+	suite := analyzers.All()
 	if err := writeSARIF(&buf, suite, sampleDiags(), "."); err != nil {
 		t.Fatalf("writeSARIF: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestWriteSARIFShape(t *testing.T) {
 // and an explicit empty results array — "checked and found nothing".
 func TestWriteSARIFEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeSARIF(&buf, baseRules(analyzers.All()), nil, "."); err != nil {
+	if err := writeSARIF(&buf, analyzers.All(), nil, "."); err != nil {
 		t.Fatalf("writeSARIF: %v", err)
 	}
 	if err := validateSARIF(buf.Bytes()); err != nil {

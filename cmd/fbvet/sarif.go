@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"fbcache/internal/analyzers"
-	"fbcache/internal/analyzers/perf"
 )
 
 // The SARIF 2.1.0 subset fbvet emits. Field names follow the spec
@@ -76,37 +75,12 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// ruleMeta is the suite-independent rule description the SARIF emitter
-// needs: the go/types suite and the perf-contract suite have distinct
-// Analyzer types, but both reduce to (name, doc) pairs here.
-type ruleMeta struct {
-	Name, Doc string
-}
-
-// baseRules adapts the go/types suite to rule metadata.
-func baseRules(suite []*analyzers.Analyzer) []ruleMeta {
-	rules := make([]ruleMeta, len(suite))
-	for i, a := range suite {
-		rules[i] = ruleMeta{Name: a.Name, Doc: a.Doc}
-	}
-	return rules
-}
-
-// perfRules adapts the perf-contract suite to rule metadata.
-func perfRules(suite []*perf.Analyzer) []ruleMeta {
-	rules := make([]ruleMeta, len(suite))
-	for i, a := range suite {
-		rules[i] = ruleMeta{Name: a.Name, Doc: a.Doc}
-	}
-	return rules
-}
-
 // writeSARIF renders one run covering the whole invocation. Every analyzer
 // in the suite appears as a rule even when it found nothing, so consumers
 // can distinguish "checked and clean" from "not checked". Paths are made
 // relative to root (the directory fbvet loaded packages from) and
 // slash-separated, per the spec's preference for portable URIs.
-func writeSARIF(w io.Writer, suite []ruleMeta, diags []analyzers.Diagnostic, root string) error {
+func writeSARIF(w io.Writer, suite []*analyzers.Analyzer, diags []analyzers.Diagnostic, root string) error {
 	rules := make([]sarifRule, len(suite))
 	index := make(map[string]int, len(suite))
 	for i, a := range suite {

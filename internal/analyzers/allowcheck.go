@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"slices"
 	"strings"
 )
 
@@ -10,9 +11,9 @@ import (
 // explaining why the finding is acceptable. Unjustified suppressions defeat
 // the audit trail the suite exists to provide.
 //
-// It also audits the perf-contract function directives (//fbvet:noescape,
-// //fbvet:inline, //fbvet:nobce): the perf suite only honours them in a
-// function declaration's doc comment, so one left anywhere else — stranded
+// It also audits the contract function directives (//fbvet:noescape,
+// //fbvet:inline, //fbvet:nobce): the contract analyzers only honour them in
+// a function declaration's doc comment, so one left anywhere else — stranded
 // by a refactor, or trailing a statement — is a contract that silently
 // stopped being enforced, and any other //fbvet:<name> spelling is a typo
 // hiding a dead directive.
@@ -44,14 +45,14 @@ func runAllowCheck(pass *Pass) {
 				if !ok {
 					continue
 				}
-				if !isFuncDirective(name) {
+				if !slices.Contains(funcDirectiveNames(), name) {
 					pass.Reportf(c.Pos(), "unknown fbvet directive //fbvet:%s (known: allow, guardedby, %s)",
-						name, strings.Join(FuncDirectiveNames, ", "))
+						name, strings.Join(funcDirectiveNames(), ", "))
 					continue
 				}
 				if !docs[cg] {
 					pass.Reportf(c.Pos(), "perf directive //fbvet:%s is not a function doc comment — "+
-						"the perf suite only enforces it on a function declaration; move it onto the "+
+						"the contract analyzers only enforce it on a function declaration; move it onto the "+
 						"function or delete the stale annotation", name)
 				}
 			}
@@ -60,7 +61,7 @@ func runAllowCheck(pass *Pass) {
 }
 
 // funcDocGroups returns the comment groups that are doc comments of function
-// declarations — the only place the perf suite reads //fbvet:<directive>
+// declarations — the only place the contract analyzers read //fbvet:<directive>
 // annotations from.
 func funcDocGroups(f *ast.File) map[*ast.CommentGroup]bool {
 	docs := make(map[*ast.CommentGroup]bool)
@@ -92,15 +93,6 @@ func fbvetDirectiveName(comment string) (string, bool) {
 		return "", false
 	}
 	return name, true
-}
-
-func isFuncDirective(name string) bool {
-	for _, d := range FuncDirectiveNames {
-		if d == name {
-			return true
-		}
-	}
-	return false
 }
 
 // directiveTail returns the text after "fbvet:allow" when the comment IS a

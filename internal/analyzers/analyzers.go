@@ -1,12 +1,11 @@
 // Package analyzers implements fbvet, a repo-specific static-analysis suite
-// guarding the invariants the simulator's reproducibility depends on:
+// guarding the invariants the simulator's reproducibility and the paper's
+// hot loops (OptCacheSelect, Landlord's credit ranking) depend on:
 //
 //   - mapiter: map iteration must not feed ordered decisions unsorted
 //     (Go randomizes map range order per run).
 //   - floateq: derived float64 values/credits must not be compared with
 //     exact == / != (rounding noise would decide ties).
-//   - lockcheck: exported methods of mutex-bearing structs must acquire the
-//     lock before touching guarded fields (fields declared after the mutex).
 //   - sizeunits: 64-bit byte counters must not be narrowed or computed in
 //     platform-width int arithmetic.
 //   - ndtaint: wall-clock reads, global math/rand draws, and map-order-
@@ -14,15 +13,11 @@
 //     is the taint engine; a seeded *rand.Rand from config is sanctioned).
 //   - errflow: error values on simulator and cmd/ paths must not be dropped
 //     by expression statements or overwritten before inspection.
-//   - hotalloc: the OptCacheSelect/OptFileBundle/Landlord inner loops must
-//     not allocate per iteration (closures, make, growing append, boxing).
 //   - retrybound: retry loops must be attempt-bounded — an unbounded
 //     `for { retry }` hangs forever on a persistent fault.
 //   - pkgdoc: every package must carry a package documentation comment
 //     (opening "Package <name>" for library packages) stating the paper
 //     section it implements and its pipeline role.
-//   - allowcheck: every //fbvet:allow directive must carry a justification,
-//     name real analyzers, and actually suppress something.
 //   - lockorder: the lock-acquisition graph (followed through in-package
 //     helper calls, see summary.go) must be acyclic — a cycle is a
 //     potential deadlock — and no mutex may be re-acquired while held.
@@ -31,12 +26,24 @@
 //     annotated struct must not be copied.
 //   - goroleak: goroutines spawned in loops need a WaitGroup bound or a
 //     cancellation path; timers and tickers need a reachable Stop.
+//   - hotcomplexity: no full re-sort inside a loop or inside a
+//     contract-annotated function (the O(n log n) per-admission rebuild the
+//     incremental ranking heap replaced).
+//   - noescape, inline, nobce: the contract analyzers (contracts.go). A
+//     function annotated //fbvet:noescape, //fbvet:inline or //fbvet:nobce
+//     must satisfy the contract according to the Go compiler's own escape,
+//     inlining and bounds-check diagnostics, and the perf manifest
+//     (manifest.go) pins which hot-path functions must carry which contract.
+//   - allowcheck: every //fbvet:allow directive must carry a justification,
+//     name real analyzers, and actually suppress something.
 //
 // The suite runs over packages type-checked with the standard library's
 // go/parser + go/types (loaded via `go list -export`, see load.go), so it
 // needs no dependencies outside the Go toolchain; the flow-sensitive
 // analyzers use the repo's own def-use taint engine (dataflow.go) in place
-// of golang.org/x/tools/go/ssa. cmd/fbvet is the driver.
+// of golang.org/x/tools/go/ssa. The contract analyzers additionally read a
+// compiler-diagnostic sweep (internal/analyzers/perf), which SweepFor builds
+// only when one of them is selected. cmd/fbvet is the driver.
 //
 // A diagnostic can be suppressed by a `//fbvet:allow <analyzer>` comment on
 // the flagged line or the line directly above it; use sparingly and state
@@ -48,8 +55,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
+
+	"fbcache/internal/analyzers/perf"
 )
 
 // Analyzer is one static check.
@@ -70,14 +80,26 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Funcs lists every function declaration of the package with its
+	// parsed contract directives (possibly none) and source range.
+	Funcs []*AnnotFunc
+	// Sweep holds the compiler diagnostics the contract analyzers read; nil
+	// when no contract analyzer is running.
+	Sweep *perf.Sweep
 
 	report func(Diagnostic)
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.reportAt(p.Fset.Position(pos), format, args...)
+}
+
+// reportAt records a diagnostic at an explicit position (compiler
+// diagnostics carry token.Position, not token.Pos).
+func (p *Pass) reportAt(pos token.Position, format string, args ...any) {
 	p.report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
+		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -107,58 +129,53 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// All returns the full fbvet suite: the per-file AST checks of PR 1, the
-// flow-sensitive dataflow analyzers (ndtaint, errflow, hotalloc — see
-// dataflow.go), the interprocedural concurrency suite (lockorder,
-// guardedby, goroleak — see summary.go), and the allow-directive
-// self-check.
+// All returns the full fbvet suite: the per-file AST checks, the
+// flow-sensitive dataflow analyzers (ndtaint, errflow — see dataflow.go),
+// the interprocedural concurrency suite (lockorder, guardedby, goroleak —
+// see summary.go), the performance checks (hotcomplexity and the contract
+// analyzers), and the allow-directive self-check.
 func All() []*Analyzer {
-	return []*Analyzer{MapIter, FloatEq, LockCheck, SizeUnits, NDTaint, ErrFlow, HotAlloc, RetryBound, PkgDoc, LockOrder, GuardedBy, GoroLeak, AllowCheck}
+	suite := []*Analyzer{MapIter, FloatEq, SizeUnits, NDTaint, ErrFlow, RetryBound, PkgDoc, LockOrder, GuardedBy, GoroLeak, HotComplexity}
+	suite = append(suite, contractAnalyzers()...)
+	return append(suite, AllowCheck)
 }
 
-// PerfNames lists the analyzers of the perf-contract suite
-// (internal/analyzers/perf): they run under `fbvet -perf` — a separate mode,
-// because they execute real compiler builds — but share the //fbvet:allow
-// directive namespace with this suite, so the allow audit must know their
-// names and allowcheck must know the function annotations they enforce
-// (//fbvet:noescape, //fbvet:inline, //fbvet:nobce).
-var PerfNames = []string{"noescape", "inline", "nobce", "hotcomplexity"}
+// contractAnalyzers returns the analyzers that enforce a function directive
+// of their own name (//fbvet:noescape, ...) against the compiler sweep. It is
+// the one list both the suite and the directive names derive from.
+func contractAnalyzers() []*Analyzer {
+	return []*Analyzer{NoEscape, Inline, NoBCE}
+}
 
-// FuncDirectiveNames lists the fbvet directives that annotate function
-// declarations with performance contracts checked by the perf suite. The
-// directive text matches the analyzer that enforces it.
-var FuncDirectiveNames = []string{"noescape", "inline", "nobce"}
-
-// Allows returns a predicate reporting whether an //fbvet:allow directive in
-// files suppresses analyzer name at pos (same line or the line above the
-// directive). The perf suite (internal/analyzers/perf) runs outside Run but
-// honours the same suppression mechanism.
-func Allows(fset *token.FileSet, files []*ast.File) func(pos token.Position, name string) bool {
-	_, allowed := collectAllows(fset, files)
-	return func(pos token.Position, name string) bool {
-		return allowed[allowKey{pos.Filename, pos.Line, name}]
+// funcDirectiveNames lists the function-declaration directives the contract
+// analyzers enforce.
+func funcDirectiveNames() []string {
+	var names []string
+	for _, a := range contractAnalyzers() {
+		names = append(names, a.Name)
 	}
+	return names
 }
 
-// SortDiagnostics orders diags by file, line, column, analyzer, message —
-// the canonical order both the go/types suite and the perf suite report in.
-func SortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
+// needsSweep reports whether any analyzer of suite reads compiler
+// diagnostics, i.e. whether running it requires a -gcflags build.
+func needsSweep(suite []*Analyzer) bool {
+	for _, a := range contractAnalyzers() {
+		if slices.Contains(suite, a) {
+			return true
 		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
+	}
+	return false
+}
+
+// SweepFor compiles patterns (relative to dir) with the compiler-diagnostic
+// flags when suite needs them, and returns nil otherwise — so a suite
+// without contract analyzers never builds anything.
+func SweepFor(dir string, patterns []string, suite []*Analyzer) (*perf.Sweep, error) {
+	if !needsSweep(suite) {
+		return nil, nil
+	}
+	return perf.SweepPackages(dir, patterns)
 }
 
 // ByName resolves a comma-separated analyzer list ("mapiter,floateq").
@@ -186,11 +203,20 @@ func ByName(names string) ([]*Analyzer, error) {
 
 // Run applies the analyzers to one loaded package and returns the surviving
 // diagnostics sorted by position, with //fbvet:allow suppressions applied.
-// When allowcheck is among the analyzers, directives that name unknown
-// analyzers or suppress nothing (while the named analyzer ran) are
-// themselves reported — a stale allow is a hole in the net, so it cannot
-// linger silently.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+// sw is the compiler sweep of the package (see SweepFor); it may be nil only
+// when no analyzer of the suite needs it. When allowcheck is among the
+// analyzers, directives that name unknown analyzers or suppress nothing
+// (while the named analyzer ran) are themselves reported — a stale allow is
+// a hole in the net, so it cannot linger silently.
+func Run(pkg *Package, analyzers []*Analyzer, sw *perf.Sweep) []Diagnostic {
+	if sw == nil && needsSweep(analyzers) {
+		panic("analyzers: Run needs a compiler sweep for the contract analyzers; see SweepFor")
+	}
+	root := ""
+	if sw != nil {
+		root = sw.Root
+	}
+	funcs := collectFuncs(pkg, root)
 	directives, allowed := collectAllows(pkg.Fset, pkg.Files)
 	used := make(map[allowKey]bool)
 	var diags []Diagnostic
@@ -201,6 +227,8 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
+			Funcs:     funcs,
+			Sweep:     sw,
 			report: func(d Diagnostic) {
 				// The self-check cannot be suppressed: an unjustified allow
 				// must not be able to allow itself.
@@ -215,8 +243,28 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		a.Run(pass)
 	}
 	diags = append(diags, auditAllows(directives, used, analyzers)...)
-	SortDiagnostics(diags)
+	sortDiagnostics(diags)
 	return diags
+}
+
+// sortDiagnostics orders diags by file, line, column, analyzer, message.
+func sortDiagnostics(diags []Diagnostic) {
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
+	})
 }
 
 type allowKey struct {
@@ -289,12 +337,6 @@ func auditAllows(directives []allowDirective, used map[allowKey]bool, analyzers 
 	for _, a := range All() {
 		known[a.Name] = true
 	}
-	// The perf suite runs in its own fbvet mode but shares the directive
-	// namespace: an allow naming one of its analyzers is legitimate here and
-	// audited for staleness by the perf run instead.
-	for _, name := range PerfNames {
-		known[name] = true
-	}
 	var diags []Diagnostic
 	for _, d := range directives {
 		for _, name := range d.names {
@@ -326,9 +368,4 @@ func isFloat(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
-}
-
-// exportedName reports whether name is exported.
-func exportedName(name string) bool {
-	return name != "" && name[0] >= 'A' && name[0] <= 'Z'
 }

@@ -101,7 +101,7 @@ func collectWants(t *testing.T, pkg *Package) map[string][]string {
 func runGolden(t *testing.T, a *Analyzer) {
 	t.Helper()
 	pkg := loadTestdata(t, a.Name)
-	diags := Run(pkg, []*Analyzer{a})
+	diags := Run(pkg, []*Analyzer{a}, nil)
 	if len(diags) == 0 {
 		t.Fatalf("%s produced no diagnostics on its testdata; the true-positive "+
 			"demonstrations are gone", a.Name)
@@ -145,11 +145,9 @@ func runGolden(t *testing.T, a *Analyzer) {
 
 func TestMapIterGolden(t *testing.T)    { runGolden(t, MapIter) }
 func TestFloatEqGolden(t *testing.T)    { runGolden(t, FloatEq) }
-func TestLockCheckGolden(t *testing.T)  { runGolden(t, LockCheck) }
 func TestSizeUnitsGolden(t *testing.T)  { runGolden(t, SizeUnits) }
 func TestNDTaintGolden(t *testing.T)    { runGolden(t, NDTaint) }
 func TestErrFlowGolden(t *testing.T)    { runGolden(t, ErrFlow) }
-func TestHotAllocGolden(t *testing.T)   { runGolden(t, HotAlloc) }
 func TestRetryBoundGolden(t *testing.T) { runGolden(t, RetryBound) }
 func TestAllowCheckGolden(t *testing.T) { runGolden(t, AllowCheck) }
 func TestPkgDocGolden(t *testing.T)     { runGolden(t, PkgDoc) }
@@ -162,7 +160,7 @@ func TestGoroLeakGolden(t *testing.T)   { runGolden(t, GoroLeak) }
 // diagnostic, anchored to the package clause.
 func TestPkgDocPrefix(t *testing.T) {
 	pkg := loadTestdata(t, "pkgdocprefix")
-	diags := Run(pkg, []*Analyzer{PkgDoc})
+	diags := Run(pkg, []*Analyzer{PkgDoc}, nil)
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
 	}
@@ -175,7 +173,7 @@ func TestPkgDocPrefix(t *testing.T) {
 // documented package.
 func TestPkgDocClean(t *testing.T) {
 	pkg := loadTestdata(t, "pkgdocok")
-	if diags := Run(pkg, []*Analyzer{PkgDoc}); len(diags) != 0 {
+	if diags := Run(pkg, []*Analyzer{PkgDoc}, nil); len(diags) != 0 {
 		t.Fatalf("clean package produced diagnostics: %v", diags)
 	}
 }
@@ -235,22 +233,28 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean runs the full suite over the whole repository — the
-// determinism gate the CI lint job enforces. Any new finding must be fixed
-// or explicitly suppressed with a justified //fbvet:allow.
+// TestRepoIsClean runs the full suite — the compiler-contract analyzers
+// against a real -gcflags sweep included — over the whole repository, as
+// the CI lint job does. Any new finding must be fixed or explicitly
+// suppressed with a justified //fbvet:allow.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide analysis is slow; run without -short")
 	}
-	pkgs, err := Load("../..", []string{"./..."})
+	patterns := []string{"./..."}
+	pkgs, err := Load("../..", patterns)
 	if err != nil {
 		t.Fatalf("loading repo: %v", err)
 	}
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; pattern ./... should cover the repo", len(pkgs))
 	}
+	sw, err := SweepFor("../..", patterns, All())
+	if err != nil {
+		t.Fatalf("sweeping repo: %v", err)
+	}
 	for _, pkg := range pkgs {
-		for _, d := range Run(pkg, All()) {
+		for _, d := range Run(pkg, All(), sw) {
 			t.Errorf("%s", d)
 		}
 	}

@@ -1,4 +1,4 @@
-package perf
+package analyzers
 
 import (
 	"go/ast"
@@ -8,10 +8,9 @@ import (
 // HotComplexity flags full-collection re-sort calls in hot scopes: a sort
 // inside a loop body, or anywhere inside a function carrying a perf
 // directive. A per-admission re-sort is the O(n log n) step the incremental ranking
-// heap (DESIGN.md §13, formerly ROADMAP item 2) replaced; this analyzer
-// keeps one from creeping back in. It is AST-only (no compiler sweep needed) but runs with
-// the perf suite because its target — per-admission cost — is the same
-// contract.
+// heap (DESIGN.md §13) replaced; this analyzer keeps one from creeping back
+// in. It is AST-only: it reads the contract directives, not the compiler
+// sweep.
 var HotComplexity = &Analyzer{
 	Name: "hotcomplexity",
 	Doc: "flag sort.*/slices.Sort* calls inside loop bodies or inside functions " +
@@ -61,7 +60,7 @@ func runHotComplexity(pass *Pass) {
 					if depth == 0 {
 						where = "inside perf-contract function " + f.Name
 					}
-					pass.ReportAt(n.Pos(), "%s.%s %s: a full re-sort on the admission path is O(n log n) — hoist it or maintain the order incrementally (DESIGN.md §13)", pkg, name, where)
+					pass.Reportf(n.Pos(), "%s.%s %s: a full re-sort on the admission path is O(n log n) — hoist it or maintain the order incrementally (DESIGN.md §13)", pkg, name, where)
 				}
 			}
 			loops = append(loops, isLoop)
@@ -82,7 +81,7 @@ func sortCall(pass *Pass, call *ast.CallExpr) (pkg, name string, ok bool) {
 	if !idOK {
 		return "", "", false
 	}
-	pn, pnOK := pass.Pkg.TypesInfo.Uses[id].(*types.PkgName)
+	pn, pnOK := pass.TypesInfo.Uses[id].(*types.PkgName)
 	if !pnOK {
 		return "", "", false
 	}

@@ -1,4 +1,4 @@
-package perf
+package analyzers
 
 // Contract pins one hot-path function to the perf directives it must carry.
 // The manifest exists so that DELETING an annotation is itself a finding: a
@@ -8,8 +8,8 @@ package perf
 type Contract struct {
 	// Func is the function in compiler-diagnostic rendering (F, T.F, (*T).F).
 	Func string
-	// Directives lists the required annotations (subset of
-	// analyzers.FuncDirectiveNames).
+	// Directives lists the required annotations (names of contract
+	// analyzers).
 	Directives []string
 }
 
@@ -58,10 +58,4 @@ var manifest = map[string][]Contract{
 		{Func: "(*eventQueue).push", Directives: []string{"noescape", "nobce"}},
 		{Func: "(*eventQueue).pop", Directives: []string{"noescape", "nobce"}},
 	},
-}
-
-// Contracts returns the required contracts of one import path (nil if the
-// package carries none).
-func Contracts(importPath string) []Contract {
-	return manifest[importPath]
 }

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"fmt"
+	"go/ast"
 	"strconv"
 	"strings"
 )
@@ -214,4 +215,30 @@ func parseDiagnostics(output string) ([]Diag, error) {
 			n, strings.Join(unknown, "\n  "))
 	}
 	return diags, nil
+}
+
+// DiagName renders a declaration the way gc diagnostics name it: F for
+// package functions, T.F for value-receiver methods, (*T).F for
+// pointer-receiver methods.
+func DiagName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		return "(*" + typeName(star.X) + ")." + fd.Name.Name
+	}
+	return typeName(t) + "." + fd.Name.Name
+}
+
+func typeName(t ast.Expr) string {
+	switch t := t.(type) {
+	case *ast.Ident:
+		return t.Name
+	case *ast.IndexExpr: // generic receiver T[P]
+		return typeName(t.X)
+	case *ast.IndexListExpr:
+		return typeName(t.X)
+	}
+	return ""
 }

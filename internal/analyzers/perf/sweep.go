@@ -1,7 +1,22 @@
+// Package perf runs fbvet's compiler-diagnostic sweep. It compiles the
+// target packages with
+//
+//	go build -gcflags='-m -m -d=ssa/check_bce/debug=1'
+//
+// and parses the escape-analysis, inlining, and bounds-check-elimination
+// output into positioned findings (diag.go). The contract analyzers of
+// internal/analyzers (noescape, inline, nobce) read the parsed sweep to keep
+// the paper's hot loops — the OptCacheSelect admission round and Landlord's
+// credit ranking — allocation-free and bounds-check-free; fbvet builds the
+// sweep only when one of them is selected. An unrecognised diagnostic shape,
+// or a sweep with no inlining verdicts at all, is a hard error, so a
+// toolchain that changes its output format fails the gate instead of
+// emptying it.
 package perf
 
 import (
 	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -24,15 +39,16 @@ type Sweep struct {
 const sweepGcflags = "-gcflags=-m -m -d=ssa/check_bce/debug=1"
 
 // SweepPackages builds patterns (e.g. "./...") from root with sweepGcflags
-// and parses the diagnostics. The build artifacts are discarded; go build's
-// cache replays the diagnostics of unchanged packages, so repeated sweeps
-// are cheap.
+// and parses the diagnostics. The build artifacts are discarded (-o
+// os.DevNull, so a pattern naming a single main package does not drop its
+// executable into root); go build's cache replays the diagnostics of
+// unchanged packages, so repeated sweeps are cheap.
 func SweepPackages(root string, patterns []string) (*Sweep, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
 		return nil, fmt.Errorf("perf sweep: %w", err)
 	}
-	args := append([]string{"build", sweepGcflags}, patterns...)
+	args := append([]string{"build", "-o", os.DevNull, sweepGcflags}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = abs
 	out, err := cmd.CombinedOutput()

@@ -1094,6 +1094,23 @@ func embeddedMutexField(t types.Type) *types.Var {
 	return nil
 }
 
+// isSyncMutex reports whether t is sync.Mutex, sync.RWMutex, or a pointer to
+// either.
+func isSyncMutex(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return false
+	}
+	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+}
+
 // isTerminalCall reports expression statements that never return: panic and
 // os.Exit end the path like a return does.
 func isTerminalCall(pass *Pass, e ast.Expr) bool {

@@ -177,7 +177,7 @@ func (s *S) loopPaired() {
 }
 `
 	pkg := typecheckSrc(t, src)
-	diags := Run(pkg, []*Analyzer{LockOrder})
+	diags := Run(pkg, []*Analyzer{LockOrder}, nil)
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want exactly 1: %v", len(diags), diags)
 	}

@@ -17,14 +17,14 @@ type Catalog struct {
 	// mutation rebuilds it under mu. Steady-state Size calls — the per-file
 	// SizeFunc reads on every selection round — then run lock-free on the
 	// immutable snapshot, which profiling showed removes the RWMutex from
-	// the admission hot path entirely. Declared before mu because it is
-	// atomically self-synchronized, not mutex-guarded.
+	// the admission hot path entirely. It is atomically self-synchronized,
+	// so it carries no //fbvet:guardedby annotation.
 	snap atomic.Pointer[[]Size]
 
 	mu    sync.RWMutex
-	names []string
-	sizes []Size
-	index map[string]FileID
+	names []string          //fbvet:guardedby mu
+	sizes []Size            //fbvet:guardedby mu
+	index map[string]FileID //fbvet:guardedby mu
 }
 
 // NewCatalog returns an empty catalog.

@@ -62,9 +62,9 @@ func New(capacity bundle.Size) *Cache {
 func (c *Cache) SetTracer(t obs.Tracer) { c.tracer = t }
 
 // The accessors below sit inside every admission and eviction decision made
-// by the policies, so they carry perf contracts (enforced by `fbvet -perf`,
-// see internal/analyzers/perf): they must inline into callers and must not
-// force their receiver or arguments onto the heap.
+// by the policies, so they carry perf contracts (enforced by fbvet's
+// contract analyzers, see internal/analyzers/contracts.go): they must inline
+// into callers and must not force their receiver or arguments onto the heap.
 
 // Capacity reports the total capacity in bytes.
 //

@@ -63,14 +63,14 @@ type Manager struct {
 	cfg     Config
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []*pendingJob
-	closed  bool
+	cond    *sync.Cond    //fbvet:guardedby mu
+	pending []*pendingJob //fbvet:guardedby mu
+	closed  bool          //fbvet:guardedby mu
 	wg      sync.WaitGroup
 
-	submitted int64
-	completed int64
-	failed    int64
+	submitted int64 //fbvet:guardedby mu
+	completed int64 //fbvet:guardedby mu
+	failed    int64 //fbvet:guardedby mu
 }
 
 // NewManager starts a manager over the given SRM.

@@ -35,7 +35,8 @@ var ErrBusy = errors.New("srm: busy: staging deadline exceeded")
 // SRM is a thread-safe staging service over a replacement policy.
 type SRM struct {
 	// Immutable after New: cat is internally synchronized and sizeOf is a
-	// pure function, so neither needs mu. Everything below mu does.
+	// pure function, so neither needs mu. The fields annotated
+	// //fbvet:guardedby mu do; the rest synchronize themselves.
 	cat    *bundle.Catalog
 	sizeOf bundle.SizeFunc
 
