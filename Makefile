@@ -170,9 +170,12 @@ fuzz:
 # soak replays the fault-injection scenarios with invariants armed: the
 # multi-policy fault soak, the churn+correlated generated-scenario soak with
 # the epoch re-planner running, and the determinism and bit-identity gates
-# for the resilience and replication layers.
+# for the resilience and replication layers. It then races the SRM's
+# unlocked store moves against its sequential model (the policy) under the
+# race detector, five times with fresh seeds.
 soak:
 	$(GO) test -tags fbinvariant ./internal/simulate/ -run 'TestFaultSoak|TestFaultSoakChurnCorrelated|TestFaultsDeterministic|TestFaultsZeroScenarioBitIdentical|TestReplicationDeterministic|TestReplicationZeroBudgetBitIdentical' -v
+	$(GO) test -race -tags fbinvariant -count 5 ./internal/srm/ -run 'TestStoreModelConcurrent' -v
 
 clean:
 	$(GO) clean ./...

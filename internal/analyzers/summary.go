@@ -5,7 +5,7 @@ package analyzers
 // plus per-function summaries (locks acquired and released, fields read and
 // written under which locks, goroutines spawned, channels closed) so the
 // concurrency analyzers (lockorder, guardedby) see through helper calls —
-// the "Called with s.mu held" comments on helpers like srm.syncStore become
+// the "Called with s.mu held" comments on helpers like srm.stampMoves become
 // checked facts instead of trusted prose.
 //
 // Two fixpoints run over the graph:
@@ -606,7 +606,7 @@ func (e *lockEngine) computeEntryStates() {
 
 // propagateLitEntries refines the entry state of function literals that run
 // synchronously where they are created: a literal passed directly as an
-// argument to an in-package call (the retryStore(func() error {...}) shape)
+// argument to an in-package call (the retry(func() error {...}) shape)
 // inherits the locks held at the callsite. Literals spawned with go,
 // deferred, stored in variables, returned, or handed to other packages
 // (time.AfterFunc) keep the empty entry — they run at an unknown time.

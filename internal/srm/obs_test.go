@@ -1,7 +1,6 @@
 package srm
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -9,7 +8,7 @@ import (
 )
 
 func TestRegistryExposesLiveState(t *testing.T) {
-	s, _ := newTestSRM(100, 60, 30)
+	s, _, src, _ := newStoreSRM(t, 100, 60, 30)
 	reg := NewRegistry(s)
 
 	rel, res, err := s.Stage(bundle.New(0))
@@ -47,16 +46,12 @@ func TestRegistryExposesLiveState(t *testing.T) {
 	rel()
 
 	// Resilience counters flow through: two store retries then success.
-	calls := 0
-	if err := s.retryStore(func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	}); err != nil {
+	src.fail.Store(2)
+	rel, _, err = s.Stage(bundle.New(1))
+	if err != nil {
 		t.Fatal(err)
 	}
+	rel()
 	if m, _ := reg.Snapshot().Get("fbcache_resilience_retries_total"); m.Value != 2 {
 		t.Errorf("fbcache_resilience_retries_total = %g, want 2", m.Value)
 	}
@@ -96,17 +91,18 @@ func TestRegistryPrometheusText(t *testing.T) {
 // live counters, and later live updates cannot retroactively change an
 // already-taken snapshot.
 func TestSnapshotResilienceIsolation(t *testing.T) {
-	s, _ := newTestSRM(100, 10)
-	transient := func(failures int) {
-		calls := 0
-		if err := s.retryStore(func() error {
-			if calls++; calls <= failures {
-				return errors.New("transient")
-			}
-			return nil
-		}); err != nil {
+	s, _, src, _ := newStoreSRM(t, 100, 10, 10)
+	next := bundle.FileID(0)
+	// transient stages a file not yet loaded, so the source is read, through
+	// the given number of failures.
+	transient := func(failures int64) {
+		src.fail.Store(failures)
+		rel, _, err := s.Stage(bundle.New(next))
+		if err != nil {
 			t.Fatal(err)
 		}
+		rel()
+		next++
 	}
 
 	transient(2)

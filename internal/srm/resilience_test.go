@@ -73,52 +73,54 @@ func TestStageTimeoutZeroMeansUnbounded(t *testing.T) {
 	}
 }
 
-// store.Store is a concrete type we can't fake through syncStore, so the
-// bounded-retry engine is driven directly.
+// Store operations get storeAttempts bounded tries, and every repeat is
+// counted; the source here fails on demand.
 func TestRetryStoreBounded(t *testing.T) {
-	s, _ := newTestSRM(100, 10)
-
-	calls := 0
-	err := s.retryStore(func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
+	s, _, src, _ := newStoreSRM(t, 100, 10, 10, 10, 10)
+	stage := func(f bundle.FileID) error {
+		rel, _, err := s.Stage(bundle.New(f))
+		if err == nil {
+			rel()
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("retryStore: %v", err)
+		return err
 	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3 (two retries then success)", calls)
+
+	src.fail.Store(2)
+	if err := stage(0); err != nil {
+		t.Fatalf("stage after two transient failures: %v", err)
+	}
+	if got := src.opens.Load(); got != 3 {
+		t.Errorf("opens = %d, want 3 (two retries then success)", got)
 	}
 	if got := s.Stats().Resilience.Retries; got != 2 {
 		t.Errorf("retries counted = %d, want 2", got)
 	}
 
 	// A persistent failure surfaces after exactly storeAttempts tries.
-	calls = 0
-	persistent := errors.New("disk gone")
-	if err := s.retryStore(func() error { calls++; return persistent }); !errors.Is(err, persistent) {
-		t.Fatalf("err = %v", err)
+	tries := func(f bundle.FileID) int64 {
+		src.fail.Store(1 << 30)
+		before := src.opens.Load()
+		if err := stage(f); !errors.Is(err, errTransient) {
+			t.Fatalf("err = %v", err)
+		}
+		return src.opens.Load() - before
 	}
-	if calls != 3 {
-		t.Errorf("persistent failure tried %d times, want 3", calls)
+	if n := tries(1); n != 3 {
+		t.Errorf("persistent failure tried %d times, want 3", n)
+	}
+	if got := s.Stats().Resilience.Retries; got != 4 {
+		t.Errorf("retries counted = %d, want 4 (failed stages count theirs too)", got)
 	}
 
 	// WithStoreRetries(1) means a single attempt, no retries.
 	s.WithStoreRetries(1)
-	calls = 0
-	_ = s.retryStore(func() error { calls++; return persistent })
-	if calls != 1 {
-		t.Errorf("with retries disabled: %d calls, want 1", calls)
+	if n := tries(2); n != 1 {
+		t.Errorf("with retries disabled: %d tries, want 1", n)
 	}
 	// Clamping: nonsense values fall back to one attempt.
 	s.WithStoreRetries(-4)
-	calls = 0
-	_ = s.retryStore(func() error { calls++; return persistent })
-	if calls != 1 {
-		t.Errorf("clamped attempts: %d calls, want 1", calls)
+	if n := tries(3); n != 1 {
+		t.Errorf("clamped attempts: %d tries, want 1", n)
 	}
 }
 

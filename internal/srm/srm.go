@@ -50,7 +50,10 @@ type SRM struct {
 	closed      bool               //fbvet:guardedby mu
 	col         metrics.Collector  //fbvet:guardedby mu
 	res         metrics.Resilience //fbvet:guardedby mu
-	store       *store.Store       //fbvet:guardedby mu — optional; see WithStore
+	// store is the optional file store (WithStore). Stages read it under mu
+	// and use it after unlocking: only Stamp/Intent (the store's map lock)
+	// run under mu, never a file's lock or its I/O.
+	store *store.Store //fbvet:guardedby mu
 
 	// reqBytes records the requested size of every Stage call (including
 	// unserviceable ones). The histogram is atomic internally, so it is
@@ -60,9 +63,11 @@ type SRM struct {
 	// rec is the request-span flight recorder; nil means spans are off
 	// (the zero-cost default). Set it via WithSpans before Serve; readers
 	// on the serving path load it once per connection. Recorder methods
-	// are internally synchronized and lock-free on the start path, so leg
-	// spans are started and finished while mu is held (the recorder's
-	// stripe locks are leaves under mu — DESIGN.md §10).
+	// are internally synchronized and lock-free on the start path, so the
+	// wait and admit leg spans are started and finished while mu is held
+	// (the recorder's stripe locks are leaves under mu — DESIGN.md §10);
+	// the store leg runs after mu is released, through a copy of rec taken
+	// under it.
 	rec *span.Recorder //fbvet:guardedby mu
 
 	// stageTimeout bounds how long one Stage may block waiting for pinned
@@ -149,16 +154,59 @@ func (s *SRM) Stage(b bundle.Bundle) (Release, policy.Result, error) {
 // store-sync legs each become child spans, so per-request latency
 // attribution survives into the flight recorder. Under the zero Context,
 // or with no recorder, it is exactly Stage.
+//
+// Capacity is reserved under s.mu and the bytes move outside it: admit pins
+// the bundle and stamps the store intents, then the store work runs
+// unlocked, so one stage's disk I/O never stalls another stage or a release.
 func (s *SRM) StageCtx(ctx span.Context, b bundle.Bundle) (Release, policy.Result, error) {
 	size := b.TotalSize(s.sizeOf)
 	s.reqBytes.Observe(float64(size))
+	r, res, err := s.admit(ctx, b, size)
+	if err != nil {
+		return nil, res, err
+	}
+	if r.moves.st != nil {
+		st := r.moves.rec.StartChild(ctx, span.OpStageStore)
+		retries, err := r.moves.apply()
+		if err != nil {
+			st.Finish(span.ErrStore)
+			s.unpin(r.pinned, r.pinnedSize, retries)
+			return nil, res, err
+		}
+		st.Finish(span.ErrNone)
+		if retries > 0 {
+			s.mu.Lock()
+			s.res.Retries += retries
+			s.mu.Unlock()
+		}
+	}
+	pinned, pinnedSize := r.pinned, r.pinnedSize
+	var once sync.Once
+	release := func() {
+		once.Do(func() { s.unpin(pinned, pinnedSize, 0) })
+	}
+	return release, res, nil
+}
 
+// reservation is what admit takes for one stage: the pins, their bytes, and
+// the store moves still to apply.
+type reservation struct {
+	pinned     bundle.Bundle
+	pinnedSize bundle.Size
+	moves      storeMoves
+}
+
+// admit is StageCtx's critical section, all of it under s.mu and none of it
+// I/O: wait for pinned capacity, run the policy, pin the cacheable part of
+// b (size bytes in all) and account it, and — with a store attached —
+// stamp the intents the caller applies after unlocking.
+func (s *SRM) admit(ctx span.Context, b bundle.Bundle, size bundle.Size) (reservation, policy.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if size > s.pol.Cache().Capacity() {
 		res := policy.Result{BytesRequested: size, Unserviceable: true}
 		s.col.Record(res)
-		return nil, res, fmt.Errorf("%w: %v > %v", ErrTooLarge, size, s.pol.Cache().Capacity())
+		return reservation{}, res, fmt.Errorf("%w: %v > %v", ErrTooLarge, size, s.pol.Cache().Capacity())
 	}
 	// The deadline is a timer flipping a bool under the mutex rather than a
 	// wall-clock comparison, so no time value flows into SRM state.
@@ -191,19 +239,20 @@ func (s *SRM) StageCtx(ctx span.Context, b bundle.Bundle) (Release, policy.Resul
 		}
 	}
 	if s.closed {
-		return nil, policy.Result{}, ErrClosed
+		return reservation{}, policy.Result{}, ErrClosed
 	}
 	if s.pinnedBytes+size > s.pol.Cache().Capacity() {
 		// Deadline passed and capacity still isn't there.
 		s.res.Timeouts++
-		return nil, policy.Result{}, fmt.Errorf("%w (waited %v)", ErrBusy, s.stageTimeout)
+		return reservation{}, policy.Result{}, fmt.Errorf("%w (waited %v)", ErrBusy, s.stageTimeout)
 	}
 
 	adm := s.rec.StartChild(ctx, span.OpStageAdmit)
 	res := s.pol.Admit(b)
 	// Result.Loaded/Evicted alias policy scratch valid only until the next
-	// Admit; this res outlives the lock (it is returned to the caller), so
-	// detach it while still serialized against other admissions.
+	// Admit; this res outlives the lock (it is returned to the caller and
+	// drives the store work), so detach it while still serialized against
+	// other admissions.
 	if len(res.Loaded) > 0 {
 		res.Loaded = res.Loaded.Clone()
 	}
@@ -216,41 +265,34 @@ func (s *SRM) StageCtx(ctx span.Context, b bundle.Bundle) (Release, policy.Resul
 	adm.SetHit(res.Hit)
 	if res.Unserviceable {
 		adm.Finish(span.ErrTooLarge)
-		return nil, res, ErrTooLarge
+		return reservation{}, res, ErrTooLarge
 	}
 	adm.Finish(span.ErrNone)
-	if s.store != nil {
-		st := s.rec.StartChild(ctx, span.OpStageStore)
-		if err := s.syncStore(res); err != nil {
-			st.Finish(span.ErrStore)
-			return nil, res, err
-		}
-		st.Finish(span.ErrNone)
-	}
 	// Pin what is actually resident: with a pass-through (bypass) caching
 	// policy some files of b are deliberately never cached, so only the
-	// cacheable part is pinned.
+	// cacheable part is pinned. The pins hold the files resident while
+	// their bytes move outside the lock.
 	pinnable := b.Minus(s.pol.Cache().Missing(b))
 	if err := s.pol.Cache().PinBundle(pinnable); err != nil {
-		return nil, res, fmt.Errorf("srm: pin: %w", err)
+		return reservation{}, res, fmt.Errorf("srm: pin: %w", err)
 	}
 	pinnedSize := pinnable.TotalSize(s.sizeOf)
 	s.pinnedBytes += pinnedSize
 	s.active++
+	return reservation{pinnable, pinnedSize, s.stampMoves(res, pinnable)}, res, nil
+}
 
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			// Ignore unpin errors after Close: the cache may be gone.
-			_ = s.pol.Cache().UnpinBundle(pinnable)
-			s.pinnedBytes -= pinnedSize
-			s.active--
-			s.cond.Broadcast()
-		})
-	}
-	return release, res, nil
+// unpin returns a lease's pins and accounting — on release, or when the
+// stage failed after admit — and adds the store retries it made.
+func (s *SRM) unpin(pinned bundle.Bundle, pinnedSize bundle.Size, retries int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Ignore unpin errors after Close: the cache may be gone.
+	_ = s.pol.Cache().UnpinBundle(pinned)
+	s.pinnedBytes -= pinnedSize
+	s.active--
+	s.res.Retries += retries
+	s.cond.Broadcast()
 }
 
 // StageWithTTL is Stage with a lease: if the caller has not released the

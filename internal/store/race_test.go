@@ -25,7 +25,7 @@ func TestConcurrentStageRemove(t *testing.T) {
 				f := bundle.FileID((g + i) % 5)
 				switch i % 4 {
 				case 0:
-					if _, _, err := s.Stage(f); err != nil {
+					if _, _, err := s.Stage(f, 0); err != nil {
 						t.Errorf("Stage(%d): %v", f, err)
 						return
 					}
@@ -36,7 +36,7 @@ func TestConcurrentStageRemove(t *testing.T) {
 						_ = s.Verify(f)
 					}
 				case 2:
-					_ = s.Remove(f)
+					_ = s.Remove(f, 0)
 				case 3:
 					if du := s.DiskUsage(); du < 0 {
 						t.Errorf("negative disk usage %d", du)
@@ -52,7 +52,7 @@ func TestConcurrentStageRemove(t *testing.T) {
 	// check the accounting adds up.
 	var want bundle.Size
 	for f := bundle.FileID(0); f < 5; f++ {
-		size, _, err := s.Stage(f)
+		size, _, err := s.Stage(f, 0)
 		if err != nil {
 			t.Fatalf("final Stage(%d): %v", f, err)
 		}

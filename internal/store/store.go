@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"fbcache/internal/bundle"
 )
@@ -36,6 +37,12 @@ func (fn FetchFunc) Open(f bundle.FileID) (io.ReadCloser, error) { return fn(f) 
 
 // Store is a directory-backed object store. It is safe for concurrent use;
 // concurrent stages of the same file are serialized per file.
+//
+// Every Stage and Remove carries a generation (Gen), so callers may decide
+// what a file should become in one order and move its bytes in another: an
+// operation whose generation is older than the one already applied to the
+// file is stale and does nothing. Stamp hands out a file's generations;
+// callers that never stamp pass 0 and get plain idempotent stage/remove.
 type Store struct {
 	dir    string
 	source Source
@@ -44,9 +51,18 @@ type Store struct {
 	files map[bundle.FileID]*entry //fbvet:guardedby mu
 }
 
+// Gen orders the operations on one file: a later intent gets a larger
+// generation. The zero Gen precedes every stamped one.
+type Gen uint64
+
 type entry struct {
+	// intent is the file's latest stamped generation. It is atomic so that
+	// stamping never waits behind the file's I/O under mu.
+	intent atomic.Uint64
+
 	mu       sync.Mutex  // serializes stage/remove of one file
 	path     string      //fbvet:guardedby mu
+	gen      Gen         //fbvet:guardedby mu — generation of the last applied Stage or Remove
 	size     bundle.Size //fbvet:guardedby mu
 	checksum uint32      //fbvet:guardedby mu
 	present  bool        //fbvet:guardedby mu
@@ -78,14 +94,36 @@ func (s *Store) entryFor(f bundle.FileID) *entry {
 	return e
 }
 
-// Stage materializes f in the cache directory (idempotent) and returns its
-// size and checksum. Content is written to a temp file and renamed, so
-// crashes never leave a half-staged file under the final name.
-func (s *Store) Stage(f bundle.FileID) (bundle.Size, uint32, error) {
+// Stamp records a new intent for f — it will be staged or removed — and
+// returns the generation the matching Stage or Remove must carry. It takes
+// only the store's map lock, never the file's, so it is cheap to call while
+// holding a caller-side lock.
+func (s *Store) Stamp(f bundle.FileID) Gen {
+	return Gen(s.entryFor(f).intent.Add(1))
+}
+
+// Intent reports f's latest stamped generation (0 if never stamped): the
+// generation a reader of f's current content should Stage it at.
+func (s *Store) Intent(f bundle.FileID) Gen {
+	return Gen(s.entryFor(f).intent.Load())
+}
+
+// Stage brings f to generation gen and returns its size and checksum. If f
+// is present at gen, or a newer generation has already been applied, it
+// does nothing (returning zeros when that newer generation removed f).
+// Otherwise — f absent, or present from an older generation — it fetches f
+// from the source again, so every generation's load reads the source
+// exactly once whatever order the operations arrive in. Content is written
+// to a temp file and renamed, so crashes never leave a half-staged file
+// under the final name.
+func (s *Store) Stage(f bundle.FileID, gen Gen) (bundle.Size, uint32, error) {
 	e := s.entryFor(f)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.present {
+	if e.gen > gen || (e.gen == gen && e.present) {
+		if !e.present {
+			return 0, 0, nil
+		}
 		return e.size, e.checksum, nil
 	}
 	rc, err := s.source.Open(f)
@@ -98,32 +136,64 @@ func (s *Store) Stage(f bundle.FileID) (bundle.Size, uint32, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-
-	h := crc32.NewIEEE()
-	n, err := io.Copy(io.MultiWriter(tmp, h), rc)
+	n, sum, err := copyCRC(tmp, rc)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), e.path)
+	}
 	if err != nil {
+		_ = os.Remove(tmp.Name())
 		return 0, 0, fmt.Errorf("store: stage %d: %w", f, err)
 	}
-	if err := os.Rename(tmp.Name(), e.path); err != nil {
-		return 0, 0, fmt.Errorf("store: %w", err)
-	}
+	e.gen = gen
 	e.size = bundle.Size(n)
-	e.checksum = h.Sum32()
+	e.checksum = sum
 	e.present = true
 	return e.size, e.checksum, nil
 }
 
-// StageBundle stages every file of b, returning the total bytes written
-// (files already present cost nothing).
+// copyBufs holds the buffers Stage and Verify copy through. io.Copy would
+// allocate a fresh 32 KB buffer per file: neither a byte source nor an
+// *os.File writing to a regular file offers WriterTo/ReaderFrom here.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+// copyCRC copies src to dst through one pooled buffer that feeds both the
+// writer and the CRC-32 (IEEE), returning the bytes copied and their sum.
+func copyCRC(dst io.Writer, src io.Reader) (n int64, sum uint32, err error) {
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
+	for {
+		nr, rerr := src.Read(buf)
+		if nr > 0 {
+			sum = crc32.Update(sum, crc32.IEEETable, buf[:nr])
+			nw, werr := dst.Write(buf[:nr])
+			n += int64(nw)
+			if werr == nil && nw < nr {
+				werr = io.ErrShortWrite
+			}
+			if werr != nil {
+				return n, sum, werr
+			}
+		}
+		if rerr == io.EOF {
+			return n, sum, nil
+		}
+		if rerr != nil {
+			return n, sum, rerr
+		}
+	}
+}
+
+// StageBundle stages every file of b at its current intent generation,
+// returning the total bytes written (files already present cost nothing).
 func (s *Store) StageBundle(b bundle.Bundle) (bundle.Size, error) {
 	var total bundle.Size
 	for _, f := range b {
 		before := s.Contains(f)
-		size, _, err := s.Stage(f)
+		size, _, err := s.Stage(f, s.Intent(f))
 		if err != nil {
 			return total, err
 		}
@@ -167,29 +237,33 @@ func (s *Store) Verify(f bundle.FileID) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer rc.Close()
-	h := crc32.NewIEEE()
-	n, err := io.Copy(h, rc)
+	n, sum, err := copyCRC(io.Discard, rc)
 	if err != nil {
 		return fmt.Errorf("store: verify %d: %w", f, err)
 	}
-	if bundle.Size(n) != e.size || h.Sum32() != e.checksum {
+	if bundle.Size(n) != e.size || sum != e.checksum {
 		return fmt.Errorf("store: file %d corrupted (size %d/%d, crc %08x/%08x)",
-			f, n, e.size, h.Sum32(), e.checksum)
+			f, n, e.size, sum, e.checksum)
 	}
 	return nil
 }
 
-// Remove deletes f's bytes (eviction). Removing an absent file is a no-op.
-func (s *Store) Remove(f bundle.FileID) error {
+// Remove deletes f's bytes (eviction) as generation gen. It does nothing if
+// a newer generation has already been applied to f — a later load owns the
+// file now. Removing an absent file is a no-op.
+func (s *Store) Remove(f bundle.FileID, gen Gen) error {
 	e := s.entryFor(f)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.present {
+	if e.gen > gen {
 		return nil
 	}
-	if err := os.Remove(e.path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
+	if e.present {
+		if err := os.Remove(e.path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: %w", err)
+		}
 	}
+	e.gen = gen
 	e.present = false
 	return nil
 }
