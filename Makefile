@@ -7,15 +7,21 @@ GO ?= go
 #   make fuzz FUZZTIME=5m
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-invariant lint vet fbvet sarif doc-lint race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate bench-srm bench-require-srm trace-check fuzz soak clean
+.PHONY: all build test test-invariant lint vet fbvet sarif doc-lint race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate trace-check fuzz soak clean
 
 all: build lint test
 
 build:
 	$(GO) build ./...
 
+# test also runs the bench module's tests (bench/ is its own module, so
+# ./... does not reach it). Its TestEveryWorkloadEmitsItsMetrics drives the
+# srm-hit workload end to end over loopback TCP with span recorders on
+# server and client, and requires every declared metric to be present and
+# finite — the serving path's end-to-end gate.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 # test-invariant rebuilds with the fbinvariant tag, arming the
 # internal/invariant checks (capacity, atomic admission, Landlord credits,
@@ -41,8 +47,11 @@ fbvet:
 
 # sarif emits the fbvet findings as a SARIF 2.1.0 log (fbvet.sarif) and
 # structurally validates it — the artifact CI uploads for code scanning.
+# Findings do not stop the target (the fbvet target is the gate): the log is
+# most useful precisely when there are findings in it. A run that wrote no
+# log, or a malformed one, still fails the validation.
 sarif:
-	$(GO) run ./cmd/fbvet -format=sarif ./... > fbvet.sarif
+	$(GO) run ./cmd/fbvet -format=sarif ./... > fbvet.sarif || true
 	$(GO) run ./cmd/fbvet -validate fbvet.sarif
 
 # doc-lint runs only the documentation contract: every package must carry a
@@ -89,8 +98,6 @@ BENCH_CORE = $(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunE
 BENCH_REPLICATE = $(GO) test -run '^$$' -bench 'BenchmarkPlan|BenchmarkPredictorObserve|BenchmarkReplan' \
 	-benchmem -benchtime=100x ./internal/replicate/ \
 	| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan
-BENCH_SRM = $(GO) run ./cmd/srmbench -self -latency -clients 4 -jobs 50 \
-	| $(GO) run ./cmd/benchjson -require SRMStageP50 -require SRMStageP99 -require SRMThroughput
 
 # bench-json runs the core/landlord/simulate benchmarks and converts the
 # text output into schema-versioned JSON (BENCH_core.json) via benchjson —
@@ -132,25 +139,6 @@ bench-json-replicate:
 # BENCH_replicate.json under the same thresholds as bench-require.
 bench-require-replicate:
 	$(BENCH_REPLICATE) -baseline BENCH_replicate.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 -out /dev/null
-
-# bench-srm snapshots the serving path's closed-loop latency SLO point into
-# BENCH_srm_latency.json: srmbench drives an in-process SRM server (span
-# flight recorder attached) over loopback TCP and reports the
-# client-observed stage+release p50/p99 and throughput as go-bench lines
-# that benchjson converts. Regenerate when a serving-path change moves the
-# quantiles intentionally.
-bench-srm:
-	$(BENCH_SRM) -out BENCH_srm_latency.json
-	@echo wrote BENCH_srm_latency.json
-
-# bench-require-srm re-runs the latency bench and gates only on presence
-# against the checked-in BENCH_srm_latency.json: every baseline quantile
-# must still be emitted (a run that silently lost the SLO numbers fails).
-# Wall-clock quantiles over loopback TCP on shared runners are far too
-# noisy for a ratio gate, so the timing comparison stays off (-max-ns-ratio
-# 0); trend review happens on the checked-in trajectory instead.
-bench-require-srm:
-	$(BENCH_SRM) -baseline BENCH_srm_latency.json -max-ns-ratio 0 -out /dev/null
 
 # trace-check replays the golden event trace through the offline validator:
 # reconstructed residency must satisfy the cache invariants at the golden

@@ -69,6 +69,13 @@ func main() {
 	)
 	flag.Parse()
 
+	pop, err := workload.ParsePopularity(*popularity)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cachesim: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	w, err := loadWorkload(*tracePath, workload.Spec{
 		Seed:           *seed,
 		CacheSize:      bundle.Size(*cacheGB * float64(bundle.GB)),
@@ -78,7 +85,7 @@ func main() {
 		NumRequests:    *requests,
 		MaxBundleFiles: *bundleMax,
 		MaxBundleFrac:  0.5,
-		Popularity:     parsePopularity(*popularity),
+		Popularity:     pop,
 		ZipfS:          *zipfS,
 		Jobs:           *jobs,
 	})
@@ -191,22 +198,7 @@ func loadWorkload(path string, spec workload.Spec) (*workload.Workload, error) {
 	if path == "" {
 		return workload.Generate(spec)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".gob") {
-		return trace.ReadGob(f)
-	}
-	return trace.ReadJSON(f)
-}
-
-func parsePopularity(s string) workload.Popularity {
-	if strings.EqualFold(s, "zipf") {
-		return workload.Zipf
-	}
-	return workload.Uniform
+	return trace.ReadFile(path)
 }
 
 // buildPolicy returns the policy and, for optfilebundle, the concrete type

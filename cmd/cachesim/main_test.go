@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fbcache/internal/bundle"
@@ -10,12 +14,46 @@ import (
 	"fbcache/internal/workload"
 )
 
-func TestParsePopularity(t *testing.T) {
-	if parsePopularity("zipf") != workload.Zipf || parsePopularity("ZIPF") != workload.Zipf {
-		t.Error("zipf not recognized")
+// TestMain re-enters main when the test binary is started as the command
+// itself (CACHESIM_ARGS set), so tests can check real exit codes.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("CACHESIM_ARGS"); ok {
+		os.Args = append([]string{"cachesim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
 	}
-	if parsePopularity("uniform") != workload.Uniform || parsePopularity("junk") != workload.Uniform {
-		t.Error("default not uniform")
+	os.Exit(m.Run())
+}
+
+// cachesim runs the command in a child process and returns its exit code
+// and stderr.
+func cachesim(t *testing.T, args string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "CACHESIM_ARGS="+args)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), stderr.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, stderr.String()
+}
+
+// -popularity is parsed case-insensitively, and an unknown law is a usage
+// error rather than a silent fall-back to uniform.
+func TestParsePopularity(t *testing.T) {
+	const small = " -jobs 20 -files 20 -requests 10"
+	if code, stderr := cachesim(t, "-popularity ZIPF"+small); code != 0 {
+		t.Errorf("-popularity ZIPF: exit %d, stderr %q", code, stderr)
+	}
+	code, stderr := cachesim(t, "-popularity zpif"+small)
+	if code != 2 || !strings.Contains(stderr, `unknown popularity "zpif"`) {
+		t.Errorf("-popularity zpif: exit %d, stderr %q; want 2 and the unknown value named", code, stderr)
 	}
 }
 

@@ -1,5 +1,7 @@
 // Command fbbench regenerates the paper's evaluation: Tables 1-2, Figures
-// 5-9, the Theorem 4.1 bound study and the extended baseline comparison.
+// 5-9, the Theorem 4.1 bound study and the extended baseline comparison,
+// plus the grid fault studies (degraded mode under a remote outage and
+// transfer failures, and the replication-budget recovery sweep).
 // Results render as aligned text on stdout and, with -out, as one CSV per
 // experiment.
 //
@@ -8,6 +10,7 @@
 //	fbbench                       # everything, laptop scale
 //	fbbench -jobs 10000           # paper-scale job counts
 //	fbbench -experiment fig6      # one experiment
+//	fbbench -experiment degraded  # grid fault study; deterministic per -seed
 //	fbbench -out results/         # also write CSV files
 package main
 
@@ -29,7 +32,7 @@ func main() {
 		files    = flag.Int("files", 300, "file pool size")
 		requests = flag.Int("requests", 150, "request pool size")
 		cacheGB  = flag.Float64("cache-gb", 4, "reference cache size in GB")
-		exp      = flag.String("experiment", "all", "which experiment: all, table1, table2, fig5, fig6, fig7, fig8, fig9, bounds, baselines, hybrid, reqsize, saturation, sharding, overlap")
+		exp      = flag.String("experiment", "all", "which experiment: all, table1, table2, fig5, fig6, fig7, fig8, fig9, bounds, baselines, hybrid, reqsize, saturation, sharding, overlap, degraded, replication")
 		reps     = flag.Int("reps", 1, "average each Fig 6-8 point over N independent workloads")
 		out      = flag.String("out", "", "directory for CSV output (optional)")
 		quiet    = flag.Bool("q", false, "suppress progress lines")
@@ -107,6 +110,10 @@ func run(cfg experiment.Config, which string) ([]*experiment.Table, error) {
 		return one(cfg.ShardingStudy())
 	case "overlap":
 		return one(cfg.OverlapStudy())
+	case "degraded":
+		return one(cfg.DegradedMode())
+	case "replication":
+		return one(cfg.ReplicationStudy())
 	default:
 		return nil, fmt.Errorf("unknown experiment %q", which)
 	}

@@ -27,6 +27,9 @@ func TestRunDispatch(t *testing.T) {
 		"fig6":   2,
 		"fig9":   2,
 		"bounds": 1,
+		// The grid fault studies.
+		"degraded":    1,
+		"replication": 1,
 	} {
 		tables, err := run(cfg, which)
 		if err != nil {
@@ -34,6 +37,9 @@ func TestRunDispatch(t *testing.T) {
 		}
 		if len(tables) != wantTables {
 			t.Errorf("%s: %d tables, want %d", which, len(tables), wantTables)
+		}
+		if len(tables) == 1 && tables[0].ID != which {
+			t.Errorf("%s: table ID %q", which, tables[0].ID)
 		}
 	}
 	if _, err := run(cfg, "nonsense"); err == nil {

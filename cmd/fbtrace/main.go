@@ -1,8 +1,8 @@
-// Command fbtrace analyzes the JSONL event traces written by cachesim
-// -trace-out and srmbench -trace-out (cache/policy/simulator events: loads,
-// evicts, admissions, stagings, servings). For the other trace format in
-// this repo — workload traces holding file catalogs and request streams, as
-// written by tracegen — use the traceinfo command instead.
+// Command fbtrace analyzes the two trace formats in this repo: the JSONL
+// event traces written by cachesim -trace-out and srmbench -trace-out
+// (cache/policy/simulator events: loads, evicts, admissions, stagings,
+// servings), and the workload traces written by tracegen (a file catalog
+// plus a request stream).
 //
 // Subcommands:
 //
@@ -22,6 +22,10 @@
 //	    Per-op latency table (p50/p90/p99/max from exact durations), the
 //	    slowest requests, and reconstructed request trees from the span
 //	    events dumped by the flight recorder (srmd -flight-out).
+//	fbtrace workload run.trace.json
+//	    File and request pool statistics, popularity concentration,
+//	    file-sharing degree (the d of Theorem 4.1) and the reference cache
+//	    size in requests of a workload trace (JSON, or gob by extension).
 package main
 
 import (
@@ -37,6 +41,8 @@ import (
 	"fbcache/internal/obs/analyze"
 	"fbcache/internal/obs/span"
 	"fbcache/internal/obs/traceio"
+	"fbcache/internal/trace"
+	"fbcache/internal/workload"
 )
 
 func main() {
@@ -51,9 +57,7 @@ commands:
   critical-path  per-job queue/transfer/process breakdown, slowest jobs
   diff           compare two traces event-by-event (exit 1 when they differ)
   spans          per-op latency table, slowest requests, request trees
-
-fbtrace reads event traces (cachesim -trace-out); for workload traces
-(tracegen output) use traceinfo.
+  workload       describe a workload trace (tracegen output, JSON or gob)
 `
 
 // run dispatches the subcommand and returns the process exit code:
@@ -76,6 +80,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runDiff(rest, stdout, stderr)
 	case "spans":
 		return runSpans(rest, stdout, stderr)
+	case "workload":
+		return runWorkload(rest, stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		fmt.Fprint(stdout, usageText)
 		return 0
@@ -406,4 +412,27 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 1
+}
+
+// runWorkload describes a workload trace: the catalog and request stream
+// tracegen writes, not a JSONL event trace.
+func runWorkload(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fbtrace workload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: fbtrace workload <trace-file>")
+		return 2
+	}
+	path := fs.Arg(0)
+	w, err := trace.ReadFile(path)
+	if err != nil {
+		fmt.Fprintf(stderr, "fbtrace: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "trace: %s\n\n", path)
+	workload.Describe(w).Render(stdout)
+	return 0
 }

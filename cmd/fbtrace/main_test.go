@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"fbcache/internal/bundle"
 	"fbcache/internal/obs/span"
+	"fbcache/internal/trace"
+	"fbcache/internal/workload"
 )
 
 const golden = "../../internal/simulate/testdata/golden_trace.jsonl"
@@ -29,11 +33,11 @@ func TestUsageAndHelp(t *testing.T) {
 		t.Errorf("unknown command: code %d, stderr %q", code, stderr)
 	}
 	code, stdout, _ := exec(t, "help")
-	if code != 0 || !strings.Contains(stdout, "traceinfo") {
-		t.Errorf("help: code %d; usage must cross-reference traceinfo, got %q", code, stdout)
+	if code != 0 || !strings.Contains(stdout, "workload") {
+		t.Errorf("help: code %d; usage must list the workload command, got %q", code, stdout)
 	}
 	// Each subcommand rejects a missing positional argument.
-	for _, sub := range []string{"summary", "validate", "critical-path", "diff", "spans"} {
+	for _, sub := range []string{"summary", "validate", "critical-path", "diff", "spans", "workload"} {
 		if code, _, _ := exec(t, sub); code != 2 {
 			t.Errorf("%s with no file: code %d, want 2", sub, code)
 		}
@@ -187,5 +191,83 @@ func TestLenientSkipsGarbage(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "skipped 1") || !strings.Contains(stdout, "no invariant violations") {
 		t.Errorf("lenient output:\nstdout %s\nstderr %s", stdout, stderr)
+	}
+}
+
+// writeWorkloadTrace writes a small generated workload to dir in both
+// encodings and returns the JSON and gob paths.
+func writeWorkloadTrace(t *testing.T, dir string) (jsonPath, gobPath string) {
+	t.Helper()
+	w, err := workload.Generate(workload.Spec{
+		Seed:           3,
+		CacheSize:      64 * bundle.MB,
+		NumFiles:       6,
+		MinFileSize:    bundle.MB,
+		MaxFilePct:     0.2,
+		NumRequests:    5,
+		MaxBundleFiles: 3,
+		MaxBundleFrac:  0.5,
+		Popularity:     workload.Uniform,
+		Jobs:           20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonPath = filepath.Join(dir, "tiny.trace.json")
+	gobPath = filepath.Join(dir, "tiny.trace.gob")
+	for path, write := range map[string]func(io.Writer, *workload.Workload) error{
+		jsonPath: trace.WriteJSON,
+		gobPath:  trace.WriteGob,
+	} {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return jsonPath, gobPath
+}
+
+func TestWorkloadDescribesTrace(t *testing.T) {
+	jsonPath, gobPath := writeWorkloadTrace(t, t.TempDir())
+	var outputs []string
+	for _, path := range []string{jsonPath, gobPath} {
+		code, stdout, stderr := exec(t, "workload", path)
+		if code != 0 {
+			t.Fatalf("%s: code %d, stderr %q", path, code, stderr)
+		}
+		for _, want := range []string{"trace: " + path, "files", "jobs", "file sharing"} {
+			if !strings.Contains(stdout, want) {
+				t.Errorf("%s: output missing %q:\n%s", path, want, stdout)
+			}
+		}
+		outputs = append(outputs, strings.TrimPrefix(stdout, "trace: "+path))
+	}
+	if outputs[0] != outputs[1] {
+		t.Errorf("JSON and gob encodings of one workload describe differently:\n%s\nvs\n%s", outputs[0], outputs[1])
+	}
+}
+
+func TestWorkloadUsageAndErrors(t *testing.T) {
+	if code, _, stderr := exec(t, "workload"); code != 2 || !strings.Contains(stderr, "usage: fbtrace workload") {
+		t.Errorf("no args: code %d, stderr %q", code, stderr)
+	}
+	if code, _, _ := exec(t, "workload", "a.json", "b.json"); code != 2 {
+		t.Errorf("two files: code %d, want 2", code)
+	}
+	if code, _, _ := exec(t, "workload", "-no-such-flag"); code != 2 {
+		t.Errorf("bad flag: code %d, want 2", code)
+	}
+	if code, _, stderr := exec(t, "workload", "does-not-exist.trace.json"); code != 1 || !strings.Contains(stderr, "fbtrace:") {
+		t.Errorf("missing file: code %d, stderr %q", code, stderr)
+	}
+	// An event trace is not a workload trace.
+	if code, _, _ := exec(t, "workload", golden); code != 1 {
+		t.Errorf("event trace read as a workload: code %d, want 1", code)
 	}
 }

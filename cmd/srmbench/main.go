@@ -6,44 +6,21 @@
 //	srmd -listen :7070 -cache-gb 4 &
 //	srmbench -addr localhost:7070 -clients 8 -jobs 200
 //
-// With -degraded it instead runs the (serverless) degraded-mode experiment:
-// the timed simulator staging across a 2-site grid with a mid-run
-// remote-archive outage, under rising per-transfer failure rates, tabling
-// hit ratio, mean job slowdown, outage recovery time and re-replication
-// bytes per policy. With -replication it sweeps the adaptive planner's
-// byte budget over the same outage (static grid vs rising budgets). Both
-// tables are deterministic for a given -seed:
-//
-//	srmbench -degraded
-//	srmbench -degraded -jobs 500 -seed 7 -csv
-//	srmbench -replication
-//
-// With -latency it reports the closed-loop run in `go test -bench` text
-// format instead of the human summary, so benchjson can ingest the
-// client-observed stage+release quantiles (make bench-srm writes
-// BENCH_srm_latency.json). -self serves an in-process SRM (with the span
-// flight recorder attached, so the measured path is the instrumented one)
-// on a loopback port first, so the latency gate needs no external srmd:
-//
-//	srmbench -self -latency -clients 4 -jobs 50 | benchjson -require SRMStage
+// -trace-out writes one client-observed job_served record per operation.
+// For the serving path's per-layer latency breakdown, run the srm-hit and
+// srm-miss-store workloads of the bench module (bash bench/run.sh).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"fbcache/internal/bundle"
-	"fbcache/internal/core"
-	"fbcache/internal/experiment"
-	"fbcache/internal/history"
 	"fbcache/internal/obs"
-	"fbcache/internal/obs/span"
-	"fbcache/internal/policy"
 	"fbcache/internal/srm"
 	"fbcache/internal/stats"
 	"fbcache/internal/workload"
@@ -53,21 +30,23 @@ func main() {
 	var (
 		addr       = flag.String("addr", "localhost:7070", "srmd server address")
 		clients    = flag.Int("clients", 4, "concurrent client connections")
-		jobs       = flag.Int("jobs", 100, "stage/release operations per client (per simulation point with -degraded)")
+		jobs       = flag.Int("jobs", 100, "stage/release operations per client")
 		files      = flag.Int("files", 200, "file pool size")
 		requests   = flag.Int("requests", 100, "request pool size")
 		cacheGB    = flag.Float64("cache-gb", 4, "reference cache size for workload sizing (match the server)")
 		popularity = flag.String("popularity", "zipf", "uniform or zipf")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		retries    = flag.Int("retries", 1, "client stage attempts when the server answers busy/retryable (1 = no retry)")
-		degraded   = flag.Bool("degraded", false, "run the degraded-mode fault experiment instead of benching a server")
-		replSweep  = flag.Bool("replication", false, "run the replication-budget recovery experiment instead of benching a server")
-		csv        = flag.Bool("csv", false, "with -degraded/-replication: emit CSV instead of the aligned table")
-		traceOut   = flag.String("trace-out", "", "write a JSONL event trace: simulator events with -degraded/-replication, client-observed job records otherwise")
-		latency    = flag.Bool("latency", false, "emit go-bench result lines (p50/p99 ns/op, req/s) for benchjson instead of the summary")
-		self       = flag.Bool("self", false, "bench an in-process SRM server on a loopback port instead of -addr")
+		traceOut   = flag.String("trace-out", "", "write a JSONL trace of client-observed job records")
 	)
 	flag.Parse()
+
+	pop, err := workload.ParsePopularity(*popularity)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "srmbench:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var tracer *obs.JSONLSink
 	if *traceOut != "" {
@@ -86,17 +65,6 @@ func main() {
 		}()
 	}
 
-	if *degraded || *replSweep {
-		if err := runExperiment(*replSweep, *jobs, *clients, *files, *requests, *cacheGB, *seed, *csv, tracer, os.Stdout); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	pop := workload.Zipf
-	if *popularity == "uniform" {
-		pop = workload.Uniform
-	}
 	w, err := workload.Generate(workload.Spec{
 		Seed:           *seed,
 		CacheSize:      bundle.Size(*cacheGB * float64(bundle.GB)),
@@ -114,77 +82,11 @@ func main() {
 		fail(err)
 	}
 
-	target := *addr
-	if *self {
-		server, stop, err := selfServe(*cacheGB)
-		if err != nil {
-			fail(err)
-		}
-		defer stop()
-		target = server.Addr()
-	}
-
-	sum, err := runBench(target, w, *clients, *jobs, *retries, tracer)
+	sum, err := runBench(*addr, w, *clients, *jobs, *retries, tracer)
 	if err != nil {
 		fail(err)
 	}
-	if *latency {
-		if err := sum.printBench(os.Stdout); err != nil {
-			fail(err)
-		}
-		return
-	}
 	sum.print(os.Stdout)
-}
-
-// selfServe boots an in-process SRM server on a loopback port, with the
-// span flight recorder attached so the benched serving path carries the
-// same telemetry overhead a production srmd does.
-func selfServe(cacheGB float64) (*srm.Server, func(), error) {
-	cat := bundle.NewCatalog()
-	pol := policy.WrapOptFileBundle(core.New(
-		bundle.Size(cacheGB*float64(bundle.GB)), cat.SizeFunc(),
-		core.Options{History: history.Config{Truncation: history.CacheResident}},
-	))
-	service := srm.New(pol, cat).WithSpans(span.New(span.Options{}))
-	server, err := srm.Serve(service, "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	return server, func() {
-		_ = server.Close() // benchmark exit; leases are gone with the clients
-		service.Close()
-	}, nil
-}
-
-// runExperiment runs one of the serverless fault experiments — the
-// replication-budget recovery sweep (replication=true) or the degraded-mode
-// failure-rate sweep — and writes the table. jobs is per simulation point;
-// the remaining knobs mirror the bench workload so all modes describe the
-// same traffic.
-func runExperiment(replication bool, jobs, clients, files, requests int, cacheGB float64, seed int64, csv bool, tracer *obs.JSONLSink, out *os.File) error {
-	cfg := experiment.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Jobs = jobs * clients
-	cfg.NumFiles = files
-	cfg.NumRequests = requests
-	cfg.CacheSize = bundle.Size(cacheGB * float64(bundle.GB))
-	cfg.Progress = os.Stderr
-	if tracer != nil {
-		cfg.Tracer = tracer
-	}
-	run := cfg.DegradedMode
-	if replication {
-		run = cfg.ReplicationStudy
-	}
-	t, err := run()
-	if err != nil {
-		return err
-	}
-	if csv {
-		return t.CSV(out)
-	}
-	return t.Render(out)
 }
 
 // benchSummary aggregates a load-test run.
@@ -279,24 +181,6 @@ func runBench(addr string, w *workload.Workload, clients, jobsPerClient, stageAt
 	sum.serverSnap = snap
 	sort.Float64s(sum.latencies)
 	return sum, nil
-}
-
-// printBench renders the run as `go test -bench` result lines — the format
-// benchjson parses — so the closed-loop latency quantiles land in the same
-// trajectory files as the microbenchmarks. The synthetic benchmark names
-// carry the quantile; iterations are the successful operations measured.
-func (s *benchSummary) printBench(out io.Writer) error {
-	if len(s.latencies) == 0 {
-		return fmt.Errorf("latency mode: no successful operations (%d errors)", s.errors)
-	}
-	n := len(s.latencies)
-	fmt.Fprintln(out, "pkg: fbcache/cmd/srmbench")
-	fmt.Fprintf(out, "BenchmarkSRMStageP50 \t%d\t%.1f ns/op\n", n, 1e9*stats.Quantile(s.latencies, 0.5))
-	fmt.Fprintf(out, "BenchmarkSRMStageP99 \t%d\t%.1f ns/op\n", n, 1e9*stats.Quantile(s.latencies, 0.99))
-	fmt.Fprintf(out, "BenchmarkSRMThroughput \t%d\t%.1f ns/op\t%.1f req/s\n",
-		s.ops, float64(s.elapsed.Nanoseconds())/float64(s.ops),
-		float64(s.ops)/s.elapsed.Seconds())
-	return nil
 }
 
 func (s *benchSummary) print(out *os.File) {

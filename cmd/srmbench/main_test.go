@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
-	"io"
-	"strconv"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
-	"time"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
@@ -72,69 +72,6 @@ func TestRunBenchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSelfServeLatencyMode drives the -self -latency path: bench an
-// in-process server and check the go-bench output parses the way benchjson
-// expects (one result line per quantile, ns/op present).
-func TestSelfServeLatencyMode(t *testing.T) {
-	server, stop, err := selfServe(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	const clients, jobsPerClient = 2, 10
-	w, err := workload.Generate(workload.Spec{
-		Seed: 3, CacheSize: 2 * bundle.GB, NumFiles: 30, MinFileSize: bundle.MB,
-		MaxFilePct: 0.05, NumRequests: 20, MaxBundleFiles: 4, MaxBundleFrac: 0.25,
-		Popularity: workload.Zipf, ZipfS: 1, Jobs: clients * jobsPerClient,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := runBench(server.Addr(), w, clients, jobsPerClient, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := sum.printBench(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "pkg: fbcache/cmd/srmbench") {
-		t.Errorf("missing pkg attribution line:\n%s", out)
-	}
-	for _, name := range []string{"BenchmarkSRMStageP50 ", "BenchmarkSRMStageP99 ", "BenchmarkSRMThroughput "} {
-		line := ""
-		for _, l := range strings.Split(out, "\n") {
-			if strings.HasPrefix(l, name) {
-				line = l
-			}
-		}
-		if line == "" {
-			t.Errorf("no %s result line:\n%s", strings.TrimSpace(name), out)
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 || fields[3] != "ns/op" {
-			t.Errorf("%s line is not go-bench format: %q", strings.TrimSpace(name), line)
-			continue
-		}
-		if ns, err := strconv.ParseFloat(fields[2], 64); err != nil || ns <= 0 {
-			t.Errorf("%s ns/op = %q (%v), want positive", strings.TrimSpace(name), fields[2], err)
-		}
-	}
-	if !strings.Contains(out, "req/s") {
-		t.Errorf("throughput line lost its req/s extra metric:\n%s", out)
-	}
-
-	// An all-error run must fail loudly rather than emit an empty gate file.
-	empty := &benchSummary{ops: 3, errors: 3, elapsed: time.Second}
-	if err := empty.printBench(io.Discard); err == nil {
-		t.Error("printBench with no latencies did not error")
-	}
-}
-
 func TestRunBenchUnreachableServer(t *testing.T) {
 	w, err := workload.Generate(workload.Spec{
 		Seed: 1, CacheSize: bundle.GB, NumFiles: 4, MinFileSize: bundle.MB,
@@ -146,5 +83,33 @@ func TestRunBenchUnreachableServer(t *testing.T) {
 	}
 	if _, err := runBench("127.0.0.1:1", w, 1, 1, 1, nil); err == nil {
 		t.Error("unreachable server accepted")
+	}
+}
+
+// TestMain re-enters main when the test binary is started as the command
+// itself (SRMBENCH_ARGS set), so tests can check real exit codes.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("SRMBENCH_ARGS"); ok {
+		os.Args = append([]string{"srmbench"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// An unknown -popularity is a usage error, reported before any connection
+// is attempted, not a silent fall-back to zipf.
+func TestUnknownPopularityIsUsageError(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "SRMBENCH_ARGS=-addr 127.0.0.1:1 -popularity zpif")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2; stderr %q", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `unknown popularity "zpif"`) {
+		t.Errorf("unknown value not named: %q", stderr.String())
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/trace"
@@ -46,9 +45,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	pop := workload.Uniform
-	if strings.EqualFold(*popularity, "zipf") {
-		pop = workload.Zipf
+	pop, err := workload.ParsePopularity(*popularity)
+	if err != nil {
+		fmt.Fprintf(stderr, "tracegen: %v\n", err)
+		fs.Usage()
+		return 2
 	}
 	w, err := workload.Generate(workload.Spec{
 		Seed:           *seed,

@@ -58,6 +58,13 @@ func TestRunFlagErrors(t *testing.T) {
 		t.Errorf("bad flag: run = %d, want 2", code)
 	}
 	stderr.Reset()
+	if code := run([]string{"-popularity", "zpif"}, &stdout, &stderr); code != 2 {
+		t.Errorf("unknown popularity: run = %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), `unknown popularity "zpif"`) {
+		t.Errorf("unknown popularity not reported: %q", stderr.String())
+	}
+	stderr.Reset()
 	if code := run([]string{"-o", filepath.Join(t.TempDir(), "missing", "dir", "x")}, &stdout, &stderr); code != 1 {
 		t.Errorf("uncreatable output: run = %d, want 1", code)
 	}

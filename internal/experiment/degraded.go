@@ -87,7 +87,6 @@ func (c Config) DegradedMode() (*Table, error) {
 				Replication: &simulate.ReplicationConfig{
 					EpochSec: epoch, Budget: 4 * c.CacheSize, RiskHorizonSec: 2 * epoch,
 				},
-				Tracer: c.Tracer,
 
 				RecoveryWindowJobs: maxInt(20, c.Jobs/8),
 				RecoveryEpsilon:    0.08,
@@ -114,6 +113,6 @@ func (c Config) DegradedMode() (*Table, error) {
 		"slowdown = mean response / the same policy's zero-failure-rate mean response (row p=0.00 is 1 by construction)",
 		"recovery = seconds from outage start until the windowed local-service ratio re-enters (and stays within) eps of its pre-outage baseline; '-' = never recovered",
 		fmt.Sprintf("every row includes a remote-archive outage over [%.0fs, %.0fs) with the epoch re-planner armed (budget 4x cache)", outage.Start, outage.End),
-		"reproduce: go run ./cmd/srmbench -degraded   (add -jobs/-seed to rescale; table is deterministic per seed)")
+		"reproduce: go run ./cmd/fbbench -experiment degraded   (add -jobs/-seed to rescale; table is deterministic per seed)")
 	return t, nil
 }

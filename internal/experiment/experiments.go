@@ -8,7 +8,6 @@ import (
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
 	"fbcache/internal/history"
-	"fbcache/internal/obs"
 	"fbcache/internal/policy"
 	"fbcache/internal/policy/classic"
 	"fbcache/internal/policy/landlord"
@@ -38,11 +37,6 @@ type Config struct {
 	Replications int
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
-	// Tracer, when non-nil, receives the timed simulator's Stage and
-	// JobServed events from experiments that run RunEvents (DegradedMode,
-	// ReplicationStudy). With several policies and failure rates in one sweep,
-	// expect interleaved streams; each policy/rate run is emitted in order.
-	Tracer obs.Tracer
 }
 
 // DefaultConfig returns the laptop-scale configuration.

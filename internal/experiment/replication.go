@@ -112,7 +112,6 @@ func (c Config) ReplicationStudy() (*Table, error) {
 			Seed:        c.Seed,
 			Faults:      &sc,
 			Replication: repl,
-			Tracer:      c.Tracer,
 
 			RecoveryWindowJobs: maxInt(20, c.Jobs/8),
 			RecoveryEpsilon:    0.08,
@@ -132,7 +131,7 @@ func (c Config) ReplicationStudy() (*Table, error) {
 		"recovery sec counts from outage start until the windowed local-service ratio re-enters (and stays within) eps of its pre-outage baseline; '-' = never recovered before the run ended",
 		"post-outage ratio is the time-weighted mean of that windowed ratio from outage end to the last completion",
 		fmt.Sprintf("outage: remote archive dark over [%.0fs, %.0fs); re-plan epoch %.0fs, risk horizon %.0fs", outage.Start, outage.End, epoch, 2*epoch),
-		"reproduce: go run ./cmd/srmbench -replication   (add -jobs/-seed to rescale; table is deterministic per seed)")
+		"reproduce: go run ./cmd/fbbench -experiment replication   (add -jobs/-seed to rescale; table is deterministic per seed)")
 	return t, nil
 }
 

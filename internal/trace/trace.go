@@ -17,6 +17,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"strings"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/workload"
@@ -121,6 +123,22 @@ func WriteGob(dst io.Writer, w *workload.Workload) error {
 		return fmt.Errorf("trace: gob encode: %w", err)
 	}
 	return nil
+}
+
+// ReadFile reads the trace at path: gob when the name ends in .gob, JSON
+// otherwise.
+func ReadFile(path string) (*workload.Workload, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		_ = f.Close() // read-only handle
+	}()
+	if strings.HasSuffix(path, ".gob") {
+		return ReadGob(f)
+	}
+	return ReadJSON(f)
 }
 
 // ReadGob reads a binary trace.

@@ -10,7 +10,7 @@ import (
 )
 
 // Description summarizes a workload — the §5.1/§5.2 parameters as actually
-// realized, for trace inspection (cmd/traceinfo) and experiment logs.
+// realized, for trace inspection (fbtrace workload) and experiment logs.
 type Description struct {
 	Files      int
 	TotalBytes bundle.Size

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/stats"
@@ -37,6 +38,19 @@ func (p Popularity) String() string {
 		return "zipf"
 	}
 	return fmt.Sprintf("Popularity(%d)", int(p))
+}
+
+// ParsePopularity maps a command-line name, case-insensitively, to its
+// Popularity: "uniform" or "zipf". Any other name is an error, so a typo
+// cannot silently select a different popularity law.
+func ParsePopularity(s string) (Popularity, error) {
+	switch strings.ToLower(s) {
+	case "uniform":
+		return Uniform, nil
+	case "zipf":
+		return Zipf, nil
+	}
+	return Uniform, fmt.Errorf("unknown popularity %q (want uniform or zipf)", s)
 }
 
 // Spec describes a synthetic workload. The zero value is not valid; use

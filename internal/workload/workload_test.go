@@ -207,6 +207,31 @@ func TestPopularityString(t *testing.T) {
 	}
 }
 
+func TestParsePopularity(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Popularity
+		ok   bool
+	}{
+		{"uniform", Uniform, true},
+		{"Uniform", Uniform, true},
+		{"zipf", Zipf, true},
+		{"ZIPF", Zipf, true},
+		{"zpif", 0, false},
+		{"", 0, false},
+		{" zipf", 0, false},
+	} {
+		got, err := ParsePopularity(tc.in)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParsePopularity(%q) error = %v, want ok=%v", tc.in, err, tc.ok)
+			continue
+		}
+		if tc.ok && got != tc.want {
+			t.Errorf("ParsePopularity(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
 func BenchmarkGenerate(b *testing.B) {
 	spec := DefaultSpec()
 	spec.Jobs = 1000
