@@ -7,7 +7,7 @@ GO ?= go
 #   make fuzz FUZZTIME=5m
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-invariant lint vet fbvet sarif doc-lint race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate trace-check fuzz soak clean
+.PHONY: all build test test-invariant lint vet fbvet sarif doc-lint race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate trace-check fuzz soak lines clean
 
 all: build lint test
 
@@ -164,6 +164,11 @@ fuzz:
 soak:
 	$(GO) test -tags fbinvariant ./internal/simulate/ -run 'TestFaultSoak|TestFaultSoakChurnCorrelated|TestFaultsDeterministic|TestFaultsZeroScenarioBitIdentical|TestReplicationDeterministic|TestReplicationZeroBudgetBitIdentical' -v
 	$(GO) test -race -tags fbinvariant -count 5 ./internal/srm/ -run 'TestStoreModelConcurrent' -v
+
+# lines prints the non-test Go line count outside bench/ — the per-change
+# size figure ROADMAP.md tracks.
+lines:
+	@git ls-files '*.go' | grep -v '^bench/' | grep -v '_test.go$$' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -20,13 +20,78 @@ import (
 	"fbcache/internal/obs/traceio"
 )
 
-// Stats replays events into an obs.StatsSink and returns the aggregate
-// counts — the same totals a live run would have accumulated.
-func Stats(events []traceio.Event) obs.TraceStats {
-	sink := obs.NewStatsSink()
+// TraceStats aggregates event counts and headline byte totals.
+type TraceStats struct {
+	Admits       int64 `json:"admits"`
+	Hits         int64 `json:"hits"`
+	Unserviced   int64 `json:"unserviced"`
+	Loads        int64 `json:"loads"`
+	Evicts       int64 `json:"evicts"`
+	SelectRounds int64 `json:"select_rounds"`
+	CreditDecays int64 `json:"credit_decays"`
+	StageStarts  int64 `json:"stage_starts"`
+	StageRetries int64 `json:"stage_retries"`
+	Failovers    int64 `json:"failovers"`
+	StageDones   int64 `json:"stage_dones"`
+	JobsServed   int64 `json:"jobs_served"`
+	ReplicaPlans int64 `json:"replica_plans"`
+	BytesLoaded  int64 `json:"bytes_loaded"`
+	BytesEvicted int64 `json:"bytes_evicted"`
+	// BytesReplicated sums ReplicaPlanEvent.Bytes — the re-replication
+	// traffic the adaptive planner moved.
+	BytesReplicated int64 `json:"bytes_replicated"`
+	// Spans counts wall-clock request spans (see obs.SpanEvent); SpanErrors
+	// is the subset that finished with a non-empty error class.
+	Spans      int64 `json:"spans"`
+	SpanErrors int64 `json:"span_errors"`
+}
+
+// Stats counts events by kind and sums their headline byte totals — the
+// same totals a live run would have accumulated.
+func Stats(events []traceio.Event) TraceStats {
+	var st TraceStats
 	for _, e := range events {
-		// Dispatch only fails on payload types a decoder cannot produce.
-		_ = traceio.Dispatch(sink, e)
+		switch ev := e.Ev.(type) {
+		case obs.AdmitEvent:
+			st.Admits++
+			if ev.Hit {
+				st.Hits++
+			}
+			if ev.Unserviceable {
+				st.Unserviced++
+			}
+		case obs.LoadEvent:
+			st.Loads++
+			st.BytesLoaded += ev.Bytes
+		case obs.EvictEvent:
+			st.Evicts++
+			st.BytesEvicted += ev.Bytes
+		case obs.SelectRoundEvent:
+			st.SelectRounds++
+		case obs.CreditDecayEvent:
+			st.CreditDecays++
+		case obs.StageEvent:
+			switch ev.Phase {
+			case obs.StageStart:
+				st.StageStarts++
+			case obs.StageRetry:
+				st.StageRetries++
+			case obs.StageFailover:
+				st.Failovers++
+			case obs.StageDone:
+				st.StageDones++
+			}
+		case obs.JobServedEvent:
+			st.JobsServed++
+		case obs.ReplicaPlanEvent:
+			st.ReplicaPlans++
+			st.BytesReplicated += ev.Bytes
+		case obs.SpanEvent:
+			st.Spans++
+			if ev.Err != "" {
+				st.SpanErrors++
+			}
+		}
 	}
-	return sink.Stats()
+	return st
 }

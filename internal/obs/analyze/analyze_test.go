@@ -3,11 +3,12 @@ package analyze
 import (
 	"bytes"
 	"math"
-	"os"
 	"testing"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
+	"fbcache/internal/faults"
+	"fbcache/internal/grid"
 	"fbcache/internal/mss"
 	"fbcache/internal/obs"
 	"fbcache/internal/obs/traceio"
@@ -133,7 +134,7 @@ func TestReplayCatchesCorruption(t *testing.T) {
 		{
 			"phantom evict",
 			func(ev []traceio.Event) []traceio.Event {
-				return append([]traceio.Event{{Kind: traceio.KindEvict,
+				return append([]traceio.Event{{Kind: obs.KindEvict,
 					Ev: obs.EvictEvent{At: 1, File: 99, Bytes: 1}}}, ev...)
 			},
 			"non-resident",
@@ -149,7 +150,7 @@ func TestReplayCatchesCorruption(t *testing.T) {
 				out := append([]traceio.Event(nil), ev...)
 				a := out[2].Ev.(obs.AdmitEvent) // first admit: 2 files, 7 bytes
 				a.FilesLoaded++
-				out[2] = traceio.Event{Kind: traceio.KindAdmit, Ev: a}
+				out[2] = traceio.Event{Kind: obs.KindAdmit, Ev: a}
 				return out
 			},
 			"claims",
@@ -227,7 +228,7 @@ func TestSummarizeWindowedHitRatio(t *testing.T) {
 	// Hand-built: 4 jobs, hits at jobs 2 and 4, window 2.
 	var events []traceio.Event
 	for i := 0; i < 4; i++ {
-		events = append(events, traceio.Event{Kind: traceio.KindJobServed,
+		events = append(events, traceio.Event{Kind: obs.KindJobServed,
 			Ev: obs.JobServedEvent{At: float64(i + 1), Job: i, Hit: i%2 == 1,
 				BytesRequested: 100, BytesLoaded: int64(50 * (1 - i%2))}})
 	}
@@ -328,34 +329,110 @@ func TestDiffPrefixTruncation(t *testing.T) {
 	}
 }
 
-// TestStatsMatchesLiveSink pins Stats (replayed) against a live StatsSink
-// fed by the same run.
-func TestStatsMatchesLiveSink(t *testing.T) {
-	events := generate(t, "landlord", 3, true)
-	if got, want := Stats(events), liveStats(t, 3); got != want {
-		t.Errorf("replayed stats %+v != live stats %+v", got, want)
+// TestStatsCountsEveryKind pins each TraceStats counter against a
+// one-of-each event list: admit flags, every stage phase, span errors and
+// the byte totals.
+func TestStatsCountsEveryKind(t *testing.T) {
+	events := []traceio.Event{
+		{Kind: obs.KindAdmit, Ev: obs.AdmitEvent{Files: 2, BytesRequested: 30, BytesLoaded: 10, FilesLoaded: 1}},
+		{Kind: obs.KindAdmit, Ev: obs.AdmitEvent{Hit: true}},
+		{Kind: obs.KindAdmit, Ev: obs.AdmitEvent{Unserviceable: true}},
+		{Kind: obs.KindLoad, Ev: obs.LoadEvent{File: 1, Bytes: 10}},
+		{Kind: obs.KindEvict, Ev: obs.EvictEvent{File: 0, Bytes: 5}},
+		{Kind: obs.KindSelectRound, Ev: obs.SelectRoundEvent{Candidates: 4, Chosen: 2}},
+		{Kind: obs.KindCreditDecay, Ev: obs.CreditDecayEvent{Min: 0.25, Files: 3}},
+		{Kind: obs.KindStage, Ev: obs.StageEvent{Phase: obs.StageStart}},
+		{Kind: obs.KindStage, Ev: obs.StageEvent{Phase: obs.StageRetry}},
+		{Kind: obs.KindStage, Ev: obs.StageEvent{Phase: obs.StageFailover}},
+		{Kind: obs.KindStage, Ev: obs.StageEvent{Phase: obs.StageDone, OK: true}},
+		{Kind: obs.KindJobServed, Ev: obs.JobServedEvent{BytesRequested: 30, BytesLoaded: 10}},
+		{Kind: obs.KindJobServed, Ev: obs.JobServedEvent{Hit: true}},
+		{Kind: obs.KindReplicaPlan, Ev: obs.ReplicaPlanEvent{Epoch: 1, Actions: 2, Bytes: 40}},
+		{Kind: obs.KindSpan, Ev: obs.SpanEvent{Op: "stage", Err: "busy"}},
+		{Kind: obs.KindSpan, Ev: obs.SpanEvent{Op: "release"}},
+	}
+	want := TraceStats{
+		Admits: 3, Hits: 1, Unserviced: 1,
+		Loads: 1, Evicts: 1, SelectRounds: 1, CreditDecays: 1,
+		StageStarts: 1, StageRetries: 1, Failovers: 1, StageDones: 1,
+		JobsServed: 2, ReplicaPlans: 1, BytesLoaded: 10, BytesEvicted: 5,
+		BytesReplicated: 40, Spans: 2, SpanErrors: 1,
+	}
+	if got := Stats(events); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
 }
 
-func liveStats(t *testing.T, seed int64) obs.TraceStats {
-	t.Helper()
+// TestStatsMatchesRunEvents pins Stats over a run's decoded JSONL trace
+// against the EventStats the same RunEvents call returns. The run is a
+// two-site grid with seeded transfer failures and an outage of the local
+// site, so retries and failovers are exercised, not just zero on both
+// sides.
+func TestStatsMatchesRunEvents(t *testing.T) {
 	w, err := workload.Generate(workload.Spec{
-		Seed: seed, CacheSize: 200 * bundle.MB, NumFiles: 60, MinFileSize: bundle.MB,
+		Seed: 3, CacheSize: 200 * bundle.MB, NumFiles: 60, MinFileSize: bundle.MB,
 		MaxFilePct: 0.2, NumRequests: 40, MaxBundleFiles: 4, MaxBundleFrac: 0.5,
 		Popularity: workload.Zipf, ZipfS: 1, Jobs: 300,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := obs.NewStatsSink()
-	ll := landlord.New(w.Spec.CacheSize, w.Catalog.SizeFunc())
-	ll.SetTracer(sink)
-	if _, err := simulate.RunEvents(w, ll, simulate.EventOptions{
-		ArrivalRate: 5, MSS: testMSS(), Seed: seed, Slots: 3, Tracer: sink,
-	}); err != nil {
+	topo, err := grid.NewTopology("local", testMSS())
+	if err != nil {
 		t.Fatal(err)
 	}
-	return sink.Stats()
-}
+	remote, err := topo.AddSite("remote", mss.Config{Name: "remote", LatencySec: 2, BandwidthBps: 60e6, Channels: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.Connect(topo.Local(), remote, grid.Link{LatencySec: 0.5, BandwidthBps: 30e6}); err != nil {
+		t.Fatal(err)
+	}
+	reps := grid.NewReplicas()
+	for _, f := range w.Catalog.Files() {
+		reps.Add(f.ID, remote)
+		reps.Add(f.ID, topo.Local())
+	}
+	sc := faults.Scenario{
+		Seed:                9,
+		TransferFailureProb: 0.2,
+		Sites:               map[int]faults.SiteFaults{0: {Outages: []faults.Window{{Start: 10, End: 40}}}},
+		MaxJobAttempts:      3,
+	}
 
-var _ = os.Getenv // keep os imported for future debugging hooks
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	ll := landlord.New(w.Spec.CacheSize, w.Catalog.SizeFunc())
+	ll.SetTracer(sink)
+	st, err := simulate.RunEvents(w, ll, simulate.EventOptions{
+		ArrivalRate: 5, Grid: &simulate.GridConfig{Topology: topo, Replicas: reps},
+		Seed: 3, Slots: 3, Faults: &sc, Tracer: sink,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	events, _, err := traceio.ReadAll(&buf, traceio.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Stats(events)
+	if st.Resilience.Retries == 0 || st.Resilience.Failovers == 0 {
+		t.Fatalf("run exercised no faults: %+v", st.Resilience)
+	}
+	for _, c := range []struct {
+		name       string
+		trace, run int64
+	}{
+		{"jobs", got.JobsServed, st.Jobs},
+		{"bytes loaded", got.BytesLoaded, int64(st.BytesLoaded)},
+		{"retries", got.StageRetries, st.Resilience.Retries},
+		{"failovers", got.Failovers, st.Resilience.Failovers},
+	} {
+		if c.trace != c.run {
+			t.Errorf("%s: trace says %d, RunEvents says %d", c.name, c.trace, c.run)
+		}
+	}
+}

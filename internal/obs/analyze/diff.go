@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 
-	"fbcache/internal/obs"
 	"fbcache/internal/obs/traceio"
 )
 
@@ -38,7 +37,7 @@ type DiffResult struct {
 	Kinds      []KindCount
 	StatDeltas []StatDelta
 
-	StatsA, StatsB obs.TraceStats
+	StatsA, StatsB TraceStats
 }
 
 // Identical reports byte-equivalent traces: same events in the same order.
@@ -113,7 +112,7 @@ func Diff(a, b []traceio.Event) DiffResult {
 
 // statDeltas lists the TraceStats fields whose values differ, by field
 // name, via reflection so new counters are picked up automatically.
-func statDeltas(a, b obs.TraceStats) []StatDelta {
+func statDeltas(a, b TraceStats) []StatDelta {
 	var out []StatDelta
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	t := va.Type()

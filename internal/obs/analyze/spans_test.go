@@ -10,7 +10,7 @@ import (
 
 // spanEvent wraps a SpanEvent into a trace event the way traceio decodes it.
 func spanEvent(e obs.SpanEvent) traceio.Event {
-	return traceio.Event{Kind: traceio.KindSpan, Ev: e}
+	return traceio.Event{Kind: obs.KindSpan, Ev: e}
 }
 
 // spanFixture is a two-request flight dump: request 1 is a fast stage with
@@ -19,7 +19,7 @@ func spanEvent(e obs.SpanEvent) traceio.Event {
 func spanFixture() []traceio.Event {
 	return []traceio.Event{
 		spanEvent(obs.SpanEvent{At: 1.05, Req: 1, Span: 2, Parent: 1, Op: "stage.admit", DurSec: 0.03, Bytes: 100, Files: 2}),
-		{Kind: traceio.KindLoad, Ev: obs.LoadEvent{File: 7, Bytes: 100}},
+		{Kind: obs.KindLoad, Ev: obs.LoadEvent{File: 7, Bytes: 100}},
 		spanEvent(obs.SpanEvent{At: 1.10, Req: 1, Span: 1, Op: "stage", DurSec: 0.10, Bytes: 100, Files: 2}),
 		spanEvent(obs.SpanEvent{At: 2.45, Req: 2, Span: 4, Parent: 3, Op: "stage.wait", DurSec: 0.40, Err: "busy"}),
 		spanEvent(obs.SpanEvent{At: 2.50, Req: 2, Span: 3, Op: "stage", DurSec: 0.50, Err: "busy"}),
@@ -84,7 +84,7 @@ func TestSpansTopKAndEmpty(t *testing.T) {
 	}
 
 	// A trace with no span events yields an empty report, not a panic.
-	empty := Spans([]traceio.Event{{Kind: traceio.KindLoad, Ev: obs.LoadEvent{File: 1}}}, 0)
+	empty := Spans([]traceio.Event{{Kind: obs.KindLoad, Ev: obs.LoadEvent{File: 1}}}, 0)
 	if empty.Spans != 0 || empty.Requests != 0 || len(empty.Ops) != 0 || len(empty.Slowest) != 0 {
 		t.Errorf("empty report = %+v", empty)
 	}

@@ -62,7 +62,7 @@ type WindowPoint struct {
 
 // Summary is the offline analytics bundle fbtrace renders.
 type Summary struct {
-	Stats    obs.TraceStats
+	Stats    TraceStats
 	Policies []PolicySummary // sorted by name
 
 	// Residency is the distribution of jobs-resident-before-eviction, one

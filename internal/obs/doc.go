@@ -14,11 +14,13 @@
 //     record sim-time observations without perturbing determinism.
 //   - Tracer (trace.go, sinks.go): a hook interface with one method per
 //     typed event — Admit, Load, Evict, SelectRound, CreditDecay, Stage
-//     (Start/Retry/Failover/Done phases) and JobServed — emitted by
-//     internal/core, internal/policy/landlord, internal/cache and
-//     internal/simulate. Emit sites guard with a nil check, so an untraced
-//     run pays only an untaken branch; ready-made sinks include a ring
-//     buffer, a JSONL writer and an aggregating stats sink.
+//     (Start/Retry/Failover/Done phases), JobServed, ReplicaPlan and Span —
+//     emitted by internal/core, internal/policy/landlord, internal/cache,
+//     internal/simulate and the span flight recorder (internal/obs/span).
+//     Emit sites guard with a nil check, so an untraced run pays only an
+//     untaken branch. The sinks are NopTracer and JSONLSink, which writes
+//     one {"kind":...,"ev":...} Record per event; the nine kind names are
+//     declared here once and internal/obs/traceio decodes them back.
 //   - Exposition (prom.go, http.go): hand-rolled Prometheus text format,
 //     an expvar-style JSON view, and a DebugMux bundling /metrics,
 //     /debug/vars and net/http/pprof for cmd/srmd's -debug-addr flag.

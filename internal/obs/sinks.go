@@ -6,10 +6,27 @@ import (
 	"sync"
 )
 
-// jsonlRecord wraps an event with a kind discriminator. encoding/json emits
-// struct fields in declaration order, so each line starts with {"kind":...}
-// and the record layout is deterministic — golden-testable.
-type jsonlRecord struct {
+// The kind discriminators of the JSONL trace records, one per Tracer
+// method. They are declared only here: JSONLSink writes them and
+// internal/obs/traceio maps them back to event types.
+const (
+	KindAdmit       = "admit"
+	KindLoad        = "load"
+	KindEvict       = "evict"
+	KindSelectRound = "select_round"
+	KindCreditDecay = "credit_decay"
+	KindStage       = "stage"
+	KindJobServed   = "job_served"
+	KindReplicaPlan = "replica_plan"
+	KindSpan        = "span"
+)
+
+// Record is one JSONL trace line: an event wrapped with its kind
+// discriminator, written by a default json.Encoder — JSONLSink live, and
+// internal/obs/traceio when it re-encodes a decoded trace. encoding/json
+// emits struct fields in declaration order, so each line starts with
+// {"kind":...} and the record layout is deterministic — golden-testable.
+type Record struct {
 	Kind string `json:"kind"`
 	Ev   any    `json:"ev"`
 }
@@ -34,7 +51,7 @@ func (s *JSONLSink) emit(kind string, ev any) {
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(jsonlRecord{Kind: kind, Ev: ev})
+	s.err = s.enc.Encode(Record{Kind: kind, Ev: ev})
 }
 
 // Err reports the first write error, if any.
@@ -45,349 +62,28 @@ func (s *JSONLSink) Err() error {
 }
 
 // Admit implements Tracer.
-func (s *JSONLSink) Admit(e AdmitEvent) { s.emit("admit", e) }
+func (s *JSONLSink) Admit(e AdmitEvent) { s.emit(KindAdmit, e) }
 
 // Load implements Tracer.
-func (s *JSONLSink) Load(e LoadEvent) { s.emit("load", e) }
+func (s *JSONLSink) Load(e LoadEvent) { s.emit(KindLoad, e) }
 
 // Evict implements Tracer.
-func (s *JSONLSink) Evict(e EvictEvent) { s.emit("evict", e) }
+func (s *JSONLSink) Evict(e EvictEvent) { s.emit(KindEvict, e) }
 
 // SelectRound implements Tracer.
-func (s *JSONLSink) SelectRound(e SelectRoundEvent) { s.emit("select_round", e) }
+func (s *JSONLSink) SelectRound(e SelectRoundEvent) { s.emit(KindSelectRound, e) }
 
 // CreditDecay implements Tracer.
-func (s *JSONLSink) CreditDecay(e CreditDecayEvent) { s.emit("credit_decay", e) }
+func (s *JSONLSink) CreditDecay(e CreditDecayEvent) { s.emit(KindCreditDecay, e) }
 
 // Stage implements Tracer.
-func (s *JSONLSink) Stage(e StageEvent) { s.emit("stage", e) }
+func (s *JSONLSink) Stage(e StageEvent) { s.emit(KindStage, e) }
 
 // JobServed implements Tracer.
-func (s *JSONLSink) JobServed(e JobServedEvent) { s.emit("job_served", e) }
+func (s *JSONLSink) JobServed(e JobServedEvent) { s.emit(KindJobServed, e) }
 
 // ReplicaPlan implements Tracer.
-func (s *JSONLSink) ReplicaPlan(e ReplicaPlanEvent) { s.emit("replica_plan", e) }
+func (s *JSONLSink) ReplicaPlan(e ReplicaPlanEvent) { s.emit(KindReplicaPlan, e) }
 
 // Span implements Tracer.
-func (s *JSONLSink) Span(e SpanEvent) { s.emit("span", e) }
-
-// RingSink keeps the most recent capacity events in memory — a flight
-// recorder for tests and post-mortem inspection. Safe for concurrent use.
-//
-// Wrap semantics: once the (capacity+1)-th event is pushed the ring starts
-// overwriting its oldest slot, so a reader only ever sees the newest
-// `capacity` events; Dropped counts the overwritten ones. Events and Drain
-// copy the buffer under the ring's lock, so a snapshot taken while other
-// goroutines push is a consistent contiguous suffix of the emission order —
-// a wrap can happen before or after a snapshot, never "inside" one.
-type RingSink struct {
-	mu      sync.Mutex
-	buf     []any //fbvet:guardedby mu
-	next    int   //fbvet:guardedby mu
-	wrap    bool  //fbvet:guardedby mu
-	total   int64 //fbvet:guardedby mu
-	dropped int64 //fbvet:guardedby mu
-}
-
-// NewRingSink returns a ring holding up to capacity events (min 1).
-func NewRingSink(capacity int) *RingSink {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RingSink{buf: make([]any, capacity)}
-}
-
-func (r *RingSink) push(ev any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.buf[r.next] != nil {
-		r.dropped++ // overwriting an event nobody drained
-	}
-	r.buf[r.next] = ev
-	r.next++
-	r.total++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrap = true
-	}
-}
-
-// eventsLocked copies the buffered events oldest-first; r.mu must be held.
-func (r *RingSink) eventsLocked() []any {
-	if !r.wrap {
-		return append([]any(nil), r.buf[:r.next]...)
-	}
-	out := make([]any, 0, len(r.buf))
-	// After a wrap, buf[next:] holds the oldest events and buf[:next] the
-	// newest — at the exact wrap boundary (next == 0) this is the whole
-	// buffer in push order. Drained slots are nil and skipped.
-	for _, ev := range r.buf[r.next:] {
-		if ev != nil {
-			out = append(out, ev)
-		}
-	}
-	for _, ev := range r.buf[:r.next] {
-		if ev != nil {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Events returns the buffered events oldest-first, leaving them buffered.
-func (r *RingSink) Events() []any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eventsLocked()
-}
-
-// Drain returns the buffered events in emission order and empties the ring:
-// a subsequent Events, or another Drain, observes only later pushes. Total
-// and Dropped are preserved — draining consumes events, it does not drop
-// them.
-func (r *RingSink) Drain() []any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.eventsLocked()
-	for i := range r.buf {
-		r.buf[i] = nil
-	}
-	r.next = 0
-	r.wrap = false
-	return out
-}
-
-// Total reports how many events were ever pushed (including overwritten ones).
-func (r *RingSink) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Dropped reports how many events were overwritten before any Drain
-// retrieved them — the flight recorder's data-loss counter.
-func (r *RingSink) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Admit implements Tracer.
-func (r *RingSink) Admit(e AdmitEvent) { r.push(e) }
-
-// Load implements Tracer.
-func (r *RingSink) Load(e LoadEvent) { r.push(e) }
-
-// Evict implements Tracer.
-func (r *RingSink) Evict(e EvictEvent) { r.push(e) }
-
-// SelectRound implements Tracer.
-func (r *RingSink) SelectRound(e SelectRoundEvent) { r.push(e) }
-
-// CreditDecay implements Tracer.
-func (r *RingSink) CreditDecay(e CreditDecayEvent) { r.push(e) }
-
-// Stage implements Tracer.
-func (r *RingSink) Stage(e StageEvent) { r.push(e) }
-
-// JobServed implements Tracer.
-func (r *RingSink) JobServed(e JobServedEvent) { r.push(e) }
-
-// ReplicaPlan implements Tracer.
-func (r *RingSink) ReplicaPlan(e ReplicaPlanEvent) { r.push(e) }
-
-// Span implements Tracer.
-func (r *RingSink) Span(e SpanEvent) { r.push(e) }
-
-// TraceStats aggregates event counts and headline byte totals.
-type TraceStats struct {
-	Admits       int64 `json:"admits"`
-	Hits         int64 `json:"hits"`
-	Unserviced   int64 `json:"unserviced"`
-	Loads        int64 `json:"loads"`
-	Evicts       int64 `json:"evicts"`
-	SelectRounds int64 `json:"select_rounds"`
-	CreditDecays int64 `json:"credit_decays"`
-	StageStarts  int64 `json:"stage_starts"`
-	StageRetries int64 `json:"stage_retries"`
-	Failovers    int64 `json:"failovers"`
-	StageDones   int64 `json:"stage_dones"`
-	JobsServed   int64 `json:"jobs_served"`
-	ReplicaPlans int64 `json:"replica_plans"`
-	BytesLoaded  int64 `json:"bytes_loaded"`
-	BytesEvicted int64 `json:"bytes_evicted"`
-	// BytesReplicated sums ReplicaPlanEvent.Bytes — the re-replication
-	// traffic the adaptive planner moved.
-	BytesReplicated int64 `json:"bytes_replicated"`
-	// Spans counts wall-clock request spans (see SpanEvent); SpanErrors is
-	// the subset that finished with a non-empty error class.
-	Spans      int64 `json:"spans"`
-	SpanErrors int64 `json:"span_errors"`
-}
-
-// StatsSink counts events without retaining them — the cheapest way to
-// assert "N evictions happened" in a test. Safe for concurrent use.
-type StatsSink struct {
-	mu sync.Mutex
-	st TraceStats //fbvet:guardedby mu
-}
-
-// NewStatsSink returns an empty aggregating sink.
-func NewStatsSink() *StatsSink { return &StatsSink{} }
-
-// Stats returns a copy of the aggregated counts.
-func (s *StatsSink) Stats() TraceStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st
-}
-
-// Admit implements Tracer.
-func (s *StatsSink) Admit(e AdmitEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.st.Admits++
-	if e.Hit {
-		s.st.Hits++
-	}
-	if e.Unserviceable {
-		s.st.Unserviced++
-	}
-}
-
-// Load implements Tracer.
-func (s *StatsSink) Load(e LoadEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.st.Loads++
-	s.st.BytesLoaded += e.Bytes
-}
-
-// Evict implements Tracer.
-func (s *StatsSink) Evict(e EvictEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.st.Evicts++
-	s.st.BytesEvicted += e.Bytes
-}
-
-// SelectRound implements Tracer.
-func (s *StatsSink) SelectRound(SelectRoundEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.st.SelectRounds++
-}
-
-// CreditDecay implements Tracer.
-func (s *StatsSink) CreditDecay(CreditDecayEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.st.CreditDecays++
-}
-
-// Stage implements Tracer.
-func (s *StatsSink) Stage(e StageEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch e.Phase {
-	case StageStart:
-		s.st.StageStarts++
-	case StageRetry:
-		s.st.StageRetries++
-	case StageFailover:
-		s.st.Failovers++
-	case StageDone:
-		s.st.StageDones++
-	}
-}
-
-// JobServed implements Tracer.
-func (s *StatsSink) JobServed(JobServedEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.st.JobsServed++
-}
-
-// ReplicaPlan implements Tracer.
-func (s *StatsSink) ReplicaPlan(e ReplicaPlanEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.st.ReplicaPlans++
-	s.st.BytesReplicated += e.Bytes
-}
-
-// Span implements Tracer.
-func (s *StatsSink) Span(e SpanEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.st.Spans++
-	if e.Err != "" {
-		s.st.SpanErrors++
-	}
-}
-
-// MultiTracer fans every event out to each tracer in order.
-type MultiTracer []Tracer
-
-// Admit implements Tracer.
-func (m MultiTracer) Admit(e AdmitEvent) {
-	for _, t := range m {
-		t.Admit(e)
-	}
-}
-
-// Load implements Tracer.
-func (m MultiTracer) Load(e LoadEvent) {
-	for _, t := range m {
-		t.Load(e)
-	}
-}
-
-// Evict implements Tracer.
-func (m MultiTracer) Evict(e EvictEvent) {
-	for _, t := range m {
-		t.Evict(e)
-	}
-}
-
-// SelectRound implements Tracer.
-func (m MultiTracer) SelectRound(e SelectRoundEvent) {
-	for _, t := range m {
-		t.SelectRound(e)
-	}
-}
-
-// CreditDecay implements Tracer.
-func (m MultiTracer) CreditDecay(e CreditDecayEvent) {
-	for _, t := range m {
-		t.CreditDecay(e)
-	}
-}
-
-// Stage implements Tracer.
-func (m MultiTracer) Stage(e StageEvent) {
-	for _, t := range m {
-		t.Stage(e)
-	}
-}
-
-// JobServed implements Tracer.
-func (m MultiTracer) JobServed(e JobServedEvent) {
-	for _, t := range m {
-		t.JobServed(e)
-	}
-}
-
-// ReplicaPlan implements Tracer.
-func (m MultiTracer) ReplicaPlan(e ReplicaPlanEvent) {
-	for _, t := range m {
-		t.ReplicaPlan(e)
-	}
-}
-
-// Span implements Tracer.
-func (m MultiTracer) Span(e SpanEvent) {
-	for _, t := range m {
-		t.Span(e)
-	}
-}
+func (s *JSONLSink) Span(e SpanEvent) { s.emit(KindSpan, e) }

@@ -33,10 +33,30 @@ func serveOne(rec *Recorder, ctx Context, err ErrCode) RequestID {
 	return req
 }
 
+// spanLog is a dump sink that keeps every span event in arrival order; the
+// other Tracer methods are NopTracer's. Safe for concurrent use.
+type spanLog struct {
+	obs.NopTracer
+	mu    sync.Mutex
+	spans []obs.SpanEvent //fbvet:guardedby mu
+}
+
+func (l *spanLog) Span(e obs.SpanEvent) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.spans = append(l.spans, e)
+}
+
+func (l *spanLog) events() []obs.SpanEvent {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]obs.SpanEvent(nil), l.spans...)
+}
+
 func TestAnomalousRequestPromotedAndDumped(t *testing.T) {
-	ring := obs.NewRingSink(64)
+	dump := &spanLog{}
 	o := slowOpts()
-	o.Dump = ring
+	o.Dump = dump
 	rec := New(o)
 
 	req := serveOne(rec, Context{}, ErrNone) // slow (threshold 1ns) → anomalous
@@ -70,12 +90,12 @@ func TestAnomalousRequestPromotedAndDumped(t *testing.T) {
 		t.Errorf("admit attributes lost: %+v", admit)
 	}
 
-	if got := len(ring.Events()); got != 3 {
-		t.Fatalf("dump sink got %d events, want 3", got)
+	dumped := dump.events()
+	if len(dumped) != 3 {
+		t.Fatalf("dump sink got %d events, want 3", len(dumped))
 	}
-	last, ok := ring.Events()[2].(obs.SpanEvent)
-	if !ok || last.Op != "stage" {
-		t.Fatalf("dump order: last event %+v, want the stage root", ring.Events()[2])
+	if last := dumped[2]; last.Op != "stage" {
+		t.Fatalf("dump order: last event %+v, want the stage root", last)
 	}
 
 	c := rec.Counters()
@@ -298,8 +318,7 @@ func TestFileDumpFlushOnClose(t *testing.T) {
 }
 
 func TestConcurrentRequests(t *testing.T) {
-	ring := obs.NewRingSink(1 << 12)
-	rec := New(Options{Stripes: 4, PerStripe: 128, SlowThreshold: time.Nanosecond, Dump: ring})
+	rec := New(Options{Stripes: 4, PerStripe: 128, SlowThreshold: time.Nanosecond, Dump: &spanLog{}})
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

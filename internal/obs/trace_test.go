@@ -1,28 +1,37 @@
-package obs
+package obs_test
 
 import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fbcache/internal/obs"
+	"fbcache/internal/obs/traceio"
 )
 
-// emitOneOfEach drives every Tracer method once with fixed payloads.
-func emitOneOfEach(t Tracer) {
-	t.Admit(AdmitEvent{At: 1, Policy: "opt", Files: 2, BytesRequested: 30, BytesLoaded: 10, FilesLoaded: 1, Hit: false})
-	t.Load(LoadEvent{At: 1, File: 1, Bytes: 10})
-	t.Evict(EvictEvent{At: 1, File: 0, Bytes: 5})
-	t.SelectRound(SelectRoundEvent{At: 1, Candidates: 4, Chosen: 2, Files: 3, Value: 1.5, Budget: 100, BudgetUsed: 60})
-	t.CreditDecay(CreditDecayEvent{At: 2, Min: 0.25, Files: 3})
-	t.Stage(StageEvent{At: 3, Phase: StageStart, Job: 0, Site: "site-a", Files: 2, Bytes: 30})
-	t.Stage(StageEvent{At: 4, Phase: StageRetry, Job: 0, Site: "site-a"})
-	t.Stage(StageEvent{At: 5, Phase: StageFailover, Job: 0, Site: "site-b"})
-	t.Stage(StageEvent{At: 6, Phase: StageDone, Job: 0, Site: "site-b", OK: true})
-	t.JobServed(JobServedEvent{At: 6, Job: 0, Hit: false, BytesRequested: 30, BytesLoaded: 10})
+// emitOneOfEach drives every Tracer method once with fixed payloads, and
+// the Stage method once per phase.
+func emitOneOfEach(t obs.Tracer) {
+	t.Admit(obs.AdmitEvent{At: 1, Policy: "opt", Files: 2, BytesRequested: 30, BytesLoaded: 10, FilesLoaded: 1, Hit: false})
+	t.Load(obs.LoadEvent{At: 1, File: 1, Bytes: 10})
+	t.Evict(obs.EvictEvent{At: 1, File: 0, Bytes: 5})
+	t.SelectRound(obs.SelectRoundEvent{At: 1, Candidates: 4, Chosen: 2, Files: 3, Value: 1.5, Budget: 100, BudgetUsed: 60})
+	t.CreditDecay(obs.CreditDecayEvent{At: 2, Min: 0.25, Files: 3})
+	t.Stage(obs.StageEvent{At: 3, Phase: obs.StageStart, Job: 0, Site: "site-a", Files: 2, Bytes: 30})
+	t.Stage(obs.StageEvent{At: 4, Phase: obs.StageRetry, Job: 0, Site: "site-a"})
+	t.Stage(obs.StageEvent{At: 5, Phase: obs.StageFailover, Job: 0, Site: "site-b"})
+	t.Stage(obs.StageEvent{At: 6, Phase: obs.StageDone, Job: 0, Site: "site-b", OK: true})
+	t.JobServed(obs.JobServedEvent{At: 6, Job: 0, Hit: false, BytesRequested: 30, BytesLoaded: 10})
+	t.ReplicaPlan(obs.ReplicaPlanEvent{At: 7, Epoch: 1, Actions: 2, Emergency: 1, Bytes: 40})
+	t.Span(obs.SpanEvent{At: 8, Req: 1, Span: 2, Op: "stage", DurSec: 0.5, Err: "busy"})
 }
+
+// oneOfEachLines is how many trace lines emitOneOfEach writes.
+const oneOfEachLines = 12
 
 func TestJSONLSinkDeterministic(t *testing.T) {
 	var a, b strings.Builder
-	sa, sb := NewJSONLSink(&a), NewJSONLSink(&b)
+	sa, sb := obs.NewJSONLSink(&a), obs.NewJSONLSink(&b)
 	emitOneOfEach(sa)
 	emitOneOfEach(sb)
 	if sa.Err() != nil || sb.Err() != nil {
@@ -32,13 +41,13 @@ func TestJSONLSinkDeterministic(t *testing.T) {
 		t.Fatal("identical event sequences produced different JSONL")
 	}
 	lines := strings.Split(strings.TrimSpace(a.String()), "\n")
-	if len(lines) != 10 {
-		t.Fatalf("got %d lines, want 10", len(lines))
+	if len(lines) != oneOfEachLines {
+		t.Fatalf("got %d lines, want %d", len(lines), oneOfEachLines)
 	}
 	for i, want := range []string{
 		`"kind":"admit"`, `"kind":"load"`, `"kind":"evict"`, `"kind":"select_round"`,
 		`"kind":"credit_decay"`, `"kind":"stage"`, `"kind":"stage"`, `"kind":"stage"`,
-		`"kind":"stage"`, `"kind":"job_served"`,
+		`"kind":"stage"`, `"kind":"job_served"`, `"kind":"replica_plan"`, `"kind":"span"`,
 	} {
 		if !strings.HasPrefix(lines[i], `{`+want) {
 			t.Errorf("line %d = %q, want prefix {%s", i, lines[i], want)
@@ -50,77 +59,49 @@ func TestJSONLSinkDeterministic(t *testing.T) {
 	}
 }
 
-func TestRingSink(t *testing.T) {
-	r := NewRingSink(3)
-	for i := 0; i < 5; i++ {
-		r.Load(LoadEvent{At: float64(i), File: 7, Bytes: 1})
-	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("ring holds %d events, want 3", len(evs))
-	}
-	for i, want := range []float64{2, 3, 4} {
-		if got := evs[i].(LoadEvent).At; got != want {
-			t.Errorf("event[%d].At = %g, want %g (oldest-first)", i, got, want)
-		}
-	}
-	if r.Total() != 5 {
-		t.Errorf("Total = %d, want 5", r.Total())
-	}
-}
-
-func TestStatsSink(t *testing.T) {
-	s := NewStatsSink()
-	emitOneOfEach(s)
-	s.Admit(AdmitEvent{Hit: true})
-	s.Admit(AdmitEvent{Unserviceable: true})
-	st := s.Stats()
-	want := TraceStats{
-		Admits: 3, Hits: 1, Unserviced: 1,
-		Loads: 1, Evicts: 1, SelectRounds: 1, CreditDecays: 1,
-		StageStarts: 1, StageRetries: 1, Failovers: 1, StageDones: 1,
-		JobsServed: 1, BytesLoaded: 10, BytesEvicted: 5,
-	}
-	if st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
-}
-
-func TestMultiTracerFansOut(t *testing.T) {
-	a, b := NewStatsSink(), NewStatsSink()
-	m := MultiTracer{a, b, NopTracer{}}
-	emitOneOfEach(m)
-	if a.Stats() != b.Stats() {
-		t.Fatal("fan-out delivered different streams")
-	}
-	if a.Stats().Admits != 1 {
-		t.Fatalf("admits = %d, want 1", a.Stats().Admits)
-	}
-}
-
+// TestSinksConcurrent drives one JSONLSink from four goroutines: the mutex
+// must keep every record whole, so the interleaved output is still a trace
+// that decodes strictly, with nothing lost.
 func TestSinksConcurrent(t *testing.T) {
+	const workers, rounds = 4, 100
 	var sb strings.Builder
-	sinks := MultiTracer{NewJSONLSink(&sb), NewRingSink(16), NewStatsSink()}
+	sink := obs.NewJSONLSink(&sb)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				emitOneOfEach(sinks)
+			for i := 0; i < rounds; i++ {
+				emitOneOfEach(sink)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := sinks[2].(*StatsSink).Stats().Admits; got != 400 {
-		t.Fatalf("admits = %d, want 400", got)
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	events, _, err := traceio.ReadAll(strings.NewReader(sb.String()), traceio.Strict)
+	if err != nil {
+		t.Fatalf("concurrent output does not decode strictly: %v", err)
+	}
+	if want := workers * rounds * oneOfEachLines; len(events) != want {
+		t.Fatalf("decoded %d events, want %d", len(events), want)
+	}
+	admits := 0
+	for _, e := range events {
+		if e.Kind == obs.KindAdmit {
+			admits++
+		}
+	}
+	if admits != workers*rounds {
+		t.Fatalf("admits = %d, want %d", admits, workers*rounds)
 	}
 }
 
 func TestStagePhaseString(t *testing.T) {
-	for phase, want := range map[StagePhase]string{
-		StageStart: "start", StageRetry: "retry", StageFailover: "failover",
-		StageDone: "done", StagePhase(99): "unknown",
+	for phase, want := range map[obs.StagePhase]string{
+		obs.StageStart: "start", obs.StageRetry: "retry", obs.StageFailover: "failover",
+		obs.StageDone: "done", obs.StagePhase(99): "unknown",
 	} {
 		if phase.String() != want {
 			t.Errorf("StagePhase(%d).String() = %q, want %q", phase, phase.String(), want)

@@ -1,9 +1,11 @@
 // Package traceio reads and re-writes the JSONL event traces produced by
 // obs.JSONLSink (cachesim -trace-out, srmbench -trace-out, the golden trace
 // under internal/simulate/testdata): a streaming decoder that turns each
-// {"kind":...,"ev":...} line back into the typed obs event it came from, and
-// a writer that re-encodes events byte-identically to the live sink, so
-// Read∘Write is the identity on well-formed traces.
+// {"kind":...,"ev":...} line (an obs.Record) back into the typed obs event
+// it came from, and a writer that re-encodes events the way the live sink
+// encodes them, so Read∘Write is the identity on well-formed traces.
+// Both directions check payloads against one kind→type table; the kind names
+// themselves are declared in obs.
 //
 // Decoding is streaming — Decoder.Next returns one event at a time without
 // holding the trace in memory — and comes in two modes. Strict fails on the
@@ -21,29 +23,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 
 	"fbcache/internal/obs"
 )
 
-// The kind discriminators, exactly as obs.JSONLSink writes them.
-const (
-	KindAdmit       = "admit"
-	KindLoad        = "load"
-	KindEvict       = "evict"
-	KindSelectRound = "select_round"
-	KindCreditDecay = "credit_decay"
-	KindStage       = "stage"
-	KindJobServed   = "job_served"
-	KindReplicaPlan = "replica_plan"
-	KindSpan        = "span"
-)
-
 // Event is one decoded trace line: the kind discriminator plus the typed
-// payload — one of the nine obs event structs, held by value.
-type Event struct {
-	Kind string
-	Ev   any
-}
+// payload — one of the nine obs event structs, held by value. It is the
+// record obs.JSONLSink writes, so Write re-encodes it unchanged.
+type Event = obs.Record
 
 // Mode selects how the decoder treats malformed lines.
 type Mode int
@@ -59,50 +47,18 @@ const (
 // construction (the longest legitimate event is well under 1 KiB).
 const maxLine = 1 << 20
 
-func decodeAs[T any](raw json.RawMessage) (any, error) {
-	var e T
-	if err := json.Unmarshal(raw, &e); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-var decoders = map[string]func(json.RawMessage) (any, error){
-	KindAdmit:       decodeAs[obs.AdmitEvent],
-	KindLoad:        decodeAs[obs.LoadEvent],
-	KindEvict:       decodeAs[obs.EvictEvent],
-	KindSelectRound: decodeAs[obs.SelectRoundEvent],
-	KindCreditDecay: decodeAs[obs.CreditDecayEvent],
-	KindStage:       decodeAs[obs.StageEvent],
-	KindJobServed:   decodeAs[obs.JobServedEvent],
-	KindReplicaPlan: decodeAs[obs.ReplicaPlanEvent],
-	KindSpan:        decodeAs[obs.SpanEvent],
-}
-
-// KindOf reports the kind discriminator for a typed event payload, and
-// whether ev is one of the nine trace event types.
-func KindOf(ev any) (string, bool) {
-	switch ev.(type) {
-	case obs.AdmitEvent:
-		return KindAdmit, true
-	case obs.LoadEvent:
-		return KindLoad, true
-	case obs.EvictEvent:
-		return KindEvict, true
-	case obs.SelectRoundEvent:
-		return KindSelectRound, true
-	case obs.CreditDecayEvent:
-		return KindCreditDecay, true
-	case obs.StageEvent:
-		return KindStage, true
-	case obs.JobServedEvent:
-		return KindJobServed, true
-	case obs.ReplicaPlanEvent:
-		return KindReplicaPlan, true
-	case obs.SpanEvent:
-		return KindSpan, true
-	}
-	return "", false
+// kinds maps each kind discriminator to the obs event type its payload
+// decodes into — the one table both directions check against.
+var kinds = map[string]reflect.Type{
+	obs.KindAdmit:       reflect.TypeFor[obs.AdmitEvent](),
+	obs.KindLoad:        reflect.TypeFor[obs.LoadEvent](),
+	obs.KindEvict:       reflect.TypeFor[obs.EvictEvent](),
+	obs.KindSelectRound: reflect.TypeFor[obs.SelectRoundEvent](),
+	obs.KindCreditDecay: reflect.TypeFor[obs.CreditDecayEvent](),
+	obs.KindStage:       reflect.TypeFor[obs.StageEvent](),
+	obs.KindJobServed:   reflect.TypeFor[obs.JobServedEvent](),
+	obs.KindReplicaPlan: reflect.TypeFor[obs.ReplicaPlanEvent](),
+	obs.KindSpan:        reflect.TypeFor[obs.SpanEvent](),
 }
 
 // Decoder streams events out of a JSONL trace.
@@ -164,18 +120,18 @@ func decodeLine(line []byte) (Event, error) {
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return Event{}, err
 	}
-	dec, ok := decoders[rec.Kind]
+	typ, ok := kinds[rec.Kind]
 	if !ok {
 		return Event{}, fmt.Errorf("unknown event kind %q", rec.Kind)
 	}
-	if len(rec.Ev) == 0 {
+	if len(rec.Ev) == 0 || string(rec.Ev) == "null" {
 		return Event{}, fmt.Errorf("event kind %q has no payload", rec.Kind)
 	}
-	ev, err := dec(rec.Ev)
-	if err != nil {
+	ev := reflect.New(typ)
+	if err := json.Unmarshal(rec.Ev, ev.Interface()); err != nil {
 		return Event{}, fmt.Errorf("decoding %q payload: %w", rec.Kind, err)
 	}
-	return Event{Kind: rec.Kind, Ev: ev}, nil
+	return Event{Kind: rec.Kind, Ev: ev.Elem().Interface()}, nil
 }
 
 // ReadAll decodes a whole trace. In Lenient mode the skipped-line count is
@@ -206,45 +162,21 @@ func ReadFile(path string, mode Mode) (events []Event, skipped int, err error) {
 	return ReadAll(f, mode)
 }
 
-// Dispatch replays e into t, calling the Tracer method matching the payload
-// type — the bridge from decoded traces back to live consumers (StatsSink
-// for counting, JSONLSink for re-encoding, the analyze reducers).
-func Dispatch(t obs.Tracer, e Event) error {
-	switch ev := e.Ev.(type) {
-	case obs.AdmitEvent:
-		t.Admit(ev)
-	case obs.LoadEvent:
-		t.Load(ev)
-	case obs.EvictEvent:
-		t.Evict(ev)
-	case obs.SelectRoundEvent:
-		t.SelectRound(ev)
-	case obs.CreditDecayEvent:
-		t.CreditDecay(ev)
-	case obs.StageEvent:
-		t.Stage(ev)
-	case obs.JobServedEvent:
-		t.JobServed(ev)
-	case obs.ReplicaPlanEvent:
-		t.ReplicaPlan(ev)
-	case obs.SpanEvent:
-		t.Span(ev)
-	default:
-		return fmt.Errorf("traceio: cannot dispatch payload of type %T", e.Ev)
-	}
-	return nil
-}
-
-// Write re-encodes events through an obs.JSONLSink, so the output is
-// byte-identical to what a live sink would have produced for the same event
-// sequence: ReadAll(Write(events)) round-trips and diffing a rewritten
-// trace against its source is a no-op.
+// Write re-encodes events as obs.JSONLSink does, one obs.Record per line
+// through a default json.Encoder, so the output is byte-identical to what
+// a live sink would have produced for the same event sequence:
+// ReadAll(Write(events)) round-trips and diffing a rewritten trace against
+// its source is a no-op.
+// An event whose payload is not the type its kind names is rejected.
 func Write(w io.Writer, events []Event) error {
-	sink := obs.NewJSONLSink(w)
+	enc := json.NewEncoder(w)
 	for i, e := range events {
-		if err := Dispatch(sink, e); err != nil {
-			return fmt.Errorf("traceio: event %d: %w", i, err)
+		if typ, ok := kinds[e.Kind]; !ok || reflect.TypeOf(e.Ev) != typ {
+			return fmt.Errorf("traceio: event %d: %T is not a %q event", i, e.Ev, e.Kind)
+		}
+		if err := enc.Encode(e); err != nil {
+			return err
 		}
 	}
-	return sink.Err()
+	return nil
 }

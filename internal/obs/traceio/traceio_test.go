@@ -20,25 +20,28 @@ const goldenPath = "../../simulate/testdata/golden_trace.jsonl"
 // zero-heavy variants that exercise the omitempty fields.
 func allKindsEvents() []Event {
 	return []Event{
-		{KindAdmit, obs.AdmitEvent{At: 1, Policy: "optfilebundle", Files: 3, BytesRequested: 700,
+		{Kind: obs.KindAdmit, Ev: obs.AdmitEvent{At: 1, Policy: "optfilebundle", Files: 3, BytesRequested: 700,
 			BytesLoaded: 300, FilesLoaded: 2, FilesEvicted: 1, Hit: false, Unserviceable: true}},
-		{KindAdmit, obs.AdmitEvent{At: 2, Policy: "landlord", Files: 1, Hit: true}},
-		{KindLoad, obs.LoadEvent{At: 3, File: 42, Bytes: 1024}},
-		{KindEvict, obs.EvictEvent{At: 4, File: 42, Bytes: 1024}},
-		{KindSelectRound, obs.SelectRoundEvent{At: 5, Candidates: 9, Chosen: 4, Files: 12,
+		{Kind: obs.KindAdmit, Ev: obs.AdmitEvent{At: 2, Policy: "landlord", Files: 1, Hit: true}},
+		{Kind: obs.KindLoad, Ev: obs.LoadEvent{At: 3, File: 42, Bytes: 1024}},
+		{Kind: obs.KindEvict, Ev: obs.EvictEvent{At: 4, File: 42, Bytes: 1024}},
+		{Kind: obs.KindSelectRound, Ev: obs.SelectRoundEvent{At: 5, Candidates: 9, Chosen: 4, Files: 12,
 			Value: 3.25, Budget: 4096, BudgetUsed: 4000, SingleWinner: true}},
-		{KindCreditDecay, obs.CreditDecayEvent{At: 6, Min: 0.125, Files: 7}},
-		{KindStage, obs.StageEvent{At: 7.5, Phase: obs.StageStart, Job: 3, Site: "site-1",
+		{Kind: obs.KindCreditDecay, Ev: obs.CreditDecayEvent{At: 6, Min: 0.125, Files: 7}},
+		{Kind: obs.KindStage, Ev: obs.StageEvent{At: 7.5, Phase: obs.StageStart, Job: 3, Site: "site-1",
 			Files: 2, Bytes: 2048}},
-		{KindStage, obs.StageEvent{At: 8.25, Phase: obs.StageRetry, Job: 3, Site: "site-1"}},
-		{KindStage, obs.StageEvent{At: 9, Phase: obs.StageFailover, Job: 3, Site: "site-2"}},
-		{KindStage, obs.StageEvent{At: 10.125, Phase: obs.StageDone, Job: 3, Files: 2, OK: true}},
-		{KindJobServed, obs.JobServedEvent{At: 11, Job: 3, Hit: false, ResponseSec: 3.5,
+		{Kind: obs.KindStage, Ev: obs.StageEvent{At: 8.25, Phase: obs.StageRetry, Job: 3, Site: "site-1"}},
+		{Kind: obs.KindStage, Ev: obs.StageEvent{At: 9, Phase: obs.StageFailover, Job: 3, Site: "site-2"}},
+		{Kind: obs.KindStage, Ev: obs.StageEvent{At: 10.125, Phase: obs.StageDone, Job: 3, Files: 2, OK: true}},
+		{Kind: obs.KindJobServed, Ev: obs.JobServedEvent{At: 11, Job: 3, Hit: false, ResponseSec: 3.5,
 			StagingSec: 2.625, QueuedAt: 7.5, FirstStageAt: 7.75, BytesRequested: 2048, BytesLoaded: 2048}},
-		{KindJobServed, obs.JobServedEvent{At: 12, Job: 4, Hit: true, BytesRequested: 10}},
-		{KindSpan, obs.SpanEvent{At: 13.5, Req: 7, Span: 21, Parent: 20, Op: "stage.admit",
+		{Kind: obs.KindJobServed, Ev: obs.JobServedEvent{At: 12, Job: 4, Hit: true, BytesRequested: 10}},
+		{Kind: obs.KindReplicaPlan, Ev: obs.ReplicaPlanEvent{At: 12.5, Epoch: 2, Actions: 5, Emergency: 2,
+			Bytes: 1 << 30, Retired: 1, RetiredBytes: 4096, Unreachable: 3}},
+		{Kind: obs.KindReplicaPlan, Ev: obs.ReplicaPlanEvent{At: 13, Epoch: 3}},
+		{Kind: obs.KindSpan, Ev: obs.SpanEvent{At: 13.5, Req: 7, Span: 21, Parent: 20, Op: "stage.admit",
 			DurSec: 0.25, Bytes: 4096, Files: 3, Hit: true, Err: "busy"}},
-		{KindSpan, obs.SpanEvent{At: 14, Req: 8, Span: 22, Op: "stage", DurSec: 0.001}},
+		{Kind: obs.KindSpan, Ev: obs.SpanEvent{At: 14, Req: 8, Span: 22, Op: "stage", DurSec: 0.001}},
 	}
 }
 
@@ -49,8 +52,8 @@ func TestRoundTrip(t *testing.T) {
 	events := allKindsEvents()
 	// Awkward floats: values with no short decimal representation.
 	events = append(events,
-		Event{KindLoad, obs.LoadEvent{At: 0.1 + 0.2, File: 1, Bytes: 1}},
-		Event{KindJobServed, obs.JobServedEvent{At: 1.0 / 3.0, Job: 9,
+		Event{Kind: obs.KindLoad, Ev: obs.LoadEvent{At: 0.1 + 0.2, File: 1, Bytes: 1}},
+		Event{Kind: obs.KindJobServed, Ev: obs.JobServedEvent{At: 1.0 / 3.0, Job: 9,
 			ResponseSec: 2.0 / 7.0, QueuedAt: 1e-9, FirstStageAt: 1e9, BytesRequested: 1, BytesLoaded: 1}},
 	)
 
@@ -111,6 +114,7 @@ func TestStrictRejectsMalformed(t *testing.T) {
 		{"truncated json", `{"kind":"load","ev":{"at":1`},
 		{"unknown kind", `{"kind":"warp","ev":{}}`},
 		{"missing payload", `{"kind":"load"}`},
+		{"null payload", `{"kind":"admit","ev":null}`},
 		{"mistyped field", `{"kind":"load","ev":{"at":"one"}}`},
 		{"not json at all", `garbage`},
 	}
@@ -153,7 +157,7 @@ func TestBlankLinesAndEOF(t *testing.T) {
 func TestStagePhaseRoundTrip(t *testing.T) {
 	for _, ph := range []obs.StagePhase{obs.StageStart, obs.StageRetry, obs.StageFailover, obs.StageDone} {
 		var buf bytes.Buffer
-		if err := Write(&buf, []Event{{KindStage, obs.StageEvent{At: 1, Phase: ph, Job: 1}}}); err != nil {
+		if err := Write(&buf, []Event{{Kind: obs.KindStage, Ev: obs.StageEvent{At: 1, Phase: ph, Job: 1}}}); err != nil {
 			t.Fatal(err)
 		}
 		events, _, err := ReadAll(bytes.NewReader(buf.Bytes()), Strict)
@@ -170,41 +174,59 @@ func TestStagePhaseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDispatchFeedsStatsSink(t *testing.T) {
-	sink := obs.NewStatsSink()
-	for _, e := range allKindsEvents() {
-		if err := Dispatch(sink, e); err != nil {
+// TestKindTableCoversTracer walks obs.Tracer's method set: every method,
+// fed its allKindsEvents entry through a live JSONLSink, must write a line
+// that decodes strictly back to the same kind and value. A Tracer method
+// added without a payload entry here, or a kind missing from the decoder
+// table, fails it.
+func TestKindTableCoversTracer(t *testing.T) {
+	tracer := reflect.TypeFor[obs.Tracer]()
+	if len(kinds) != tracer.NumMethod() {
+		t.Errorf("kind table has %d entries, obs.Tracer has %d methods", len(kinds), tracer.NumMethod())
+	}
+	for i := 0; i < tracer.NumMethod(); i++ {
+		m := tracer.Method(i)
+		payload := m.Type.In(0)
+		var want *Event
+		for _, e := range allKindsEvents() {
+			if reflect.TypeOf(e.Ev) == payload {
+				want = &e
+				break
+			}
+		}
+		if want == nil {
+			t.Errorf("Tracer.%s: no allKindsEvents entry of type %v", m.Name, payload)
+			continue
+		}
+		var buf bytes.Buffer
+		sink := obs.NewJSONLSink(&buf)
+		reflect.ValueOf(sink).MethodByName(m.Name).Call([]reflect.Value{reflect.ValueOf(want.Ev)})
+		if err := sink.Err(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := sink.Stats()
-	if st.Admits != 2 || st.Hits != 1 || st.Unserviced != 1 {
-		t.Errorf("admit counts = %d/%d/%d, want 2/1/1", st.Admits, st.Hits, st.Unserviced)
-	}
-	if st.Loads != 1 || st.Evicts != 1 || st.JobsServed != 2 {
-		t.Errorf("loads/evicts/jobs = %d/%d/%d, want 1/1/2", st.Loads, st.Evicts, st.JobsServed)
-	}
-	if st.StageStarts != 1 || st.StageRetries != 1 || st.Failovers != 1 || st.StageDones != 1 {
-		t.Errorf("stage phases = %d/%d/%d/%d, want 1 each",
-			st.StageStarts, st.StageRetries, st.Failovers, st.StageDones)
-	}
-	if st.Spans != 2 || st.SpanErrors != 1 {
-		t.Errorf("spans/span_errors = %d/%d, want 2/1", st.Spans, st.SpanErrors)
-	}
-	if err := Dispatch(sink, Event{Kind: "bogus", Ev: 42}); err == nil {
-		t.Error("Dispatch accepted a non-event payload")
+		got, _, err := ReadAll(&buf, Strict)
+		if err != nil {
+			t.Errorf("Tracer.%s: %v", m.Name, err)
+			continue
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0], *want) {
+			t.Errorf("Tracer.%s round-tripped to %#v, want %#v", m.Name, got, *want)
+		}
 	}
 }
 
-func TestKindOf(t *testing.T) {
-	for _, e := range allKindsEvents() {
-		kind, ok := KindOf(e.Ev)
-		if !ok || kind != e.Kind {
-			t.Errorf("KindOf(%T) = %q,%v; want %q,true", e.Ev, kind, ok, e.Kind)
+// TestWriteRejectsForeignPayload: Write encodes only the nine event types,
+// each under its own kind.
+func TestWriteRejectsForeignPayload(t *testing.T) {
+	for _, e := range []Event{
+		{Kind: "bogus", Ev: 42},
+		{Kind: obs.KindLoad, Ev: 42},
+		{Kind: obs.KindLoad, Ev: obs.EvictEvent{File: 1}},
+		{Kind: obs.KindLoad, Ev: &obs.LoadEvent{File: 1}},
+	} {
+		if err := Write(io.Discard, []Event{e}); err == nil {
+			t.Errorf("Write accepted %q with payload %T", e.Kind, e.Ev)
 		}
-	}
-	if _, ok := KindOf("nope"); ok {
-		t.Error("KindOf accepted a string")
 	}
 }
 
@@ -224,6 +246,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte(`{"kind":"stage","ev":{"phase":"retry"}}`))
 	f.Add([]byte(`{"kind":"load","ev":{"at":1e309}}`))
 	f.Add([]byte("{\"kind\":\"load\"\x00,\"ev\":{}}"))
+	f.Add([]byte(`{"kind":"admit","ev":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, _, err := ReadAll(bytes.NewReader(data), Strict)
 		if _, _, lerr := ReadAll(bytes.NewReader(data), Lenient); lerr != nil && err == nil {
