@@ -70,18 +70,26 @@ bench:
 
 # bench-guard runs the no-op-tracer and span-telemetry overhead
 # microbenchmarks and gates their exact alloc counts: the /baseline (no
-# tracer) and /nop (NopTracer installed) variants of the OptCacheSelect and
-# Landlord hot loops must report identical allocs/op — tracing must cost
-# nothing when off — and the disabled, enabled and promoted span paths must
-# report 0 allocs/op. -benchtime=100x keeps it fast enough to gate CI; ns/op
-# on shared machines is too noisy to gate, so compare it by eye or with
-# benchstat on a quiet machine.
+# tracer) and /nop (NopTracer installed) variants of the OptCacheSelect hit
+# loop, the OptCacheSelect miss loop (/miss: cache-resident history, most
+# admits run selection) and the Landlord loop must each be present and
+# report identical allocs/op — tracing must cost nothing when off — and
+# /miss must report 0 allocs/op; a pair that lost a line fails. The
+# disabled, enabled and promoted span paths must report 0 allocs/op.
+# -benchtime=100x keeps it fast enough to gate CI; ns/op on shared machines
+# is too noisy to gate, so compare it by eye or with benchstat on a quiet
+# machine.
 bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkOptCacheSelect' -benchmem -benchtime=100x ./internal/core/ > bench-guard.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkLandlord$$' -benchmem -benchtime=100x ./internal/policy/landlord/ >> bench-guard.txt
-	awk '/baseline|\/nop/ { print; allocs[++n]=$$(NF-1) } \
-	     END { if (n != 4 || allocs[1] != allocs[2] || allocs[3] != allocs[4]) { \
-	             print "FAIL: nop-tracer variant allocates more than baseline"; exit 1 } }' bench-guard.txt
+	awk '/baseline|\/nop/ { print; name=$$1; sub(/-[0-9]+$$/, "", name); allocs[name]=$$(NF-1); n++ } \
+	     END { split("BenchmarkOptCacheSelect BenchmarkOptCacheSelect/miss BenchmarkLandlord", pair, " "); \
+	           for (k = 1; k <= 3; k++) { b = pair[k] "/baseline"; o = pair[k] "/nop"; \
+	             if (!(b in allocs) || !(o in allocs)) { print "FAIL: " pair[k] " baseline/nop line missing"; exit 1 } \
+	             if (allocs[b] != allocs[o]) { print "FAIL: " pair[k] " nop-tracer variant allocates more than baseline"; exit 1 } } \
+	           if (n != 6) { print "FAIL: want 6 baseline/nop lines, got " n; exit 1 } \
+	           if (allocs["BenchmarkOptCacheSelect/miss/baseline"] != 0) { \
+	             print "FAIL: OptCacheSelect/miss allocates in steady state"; exit 1 } }' bench-guard.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSpan(Disabled|Enabled|Promoted)' -benchmem -benchtime=100x ./internal/obs/span/ > span-bench.txt
 	awk '/^BenchmarkSpan/ { print; allocs[++n]=$$(NF-1) } \
 	     END { if (n != 3 || allocs[1] != 0 || allocs[2] != 0 || allocs[3] != 0) { \
@@ -90,13 +98,15 @@ bench-guard:
 # One benchmark pipeline per checked-in BENCH file: the go-bench run piped
 # into benchjson, whose -require flags make a run that silently lost an
 # expected benchmark fail instead of writing a thin file. Each target below
-# appends only its output or baseline flags.
+# appends only its output or baseline flags. -cpu 1 keeps the -P suffix off
+# the benchmark names, so a baseline written on one machine matches a run on
+# a machine with a different core count.
 BENCH_CORE = $(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
-	-benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
-	| $(GO) run ./cmd/benchjson -require OptCacheSelect -require Landlord \
+	-cpu 1 -benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
+	| $(GO) run ./cmd/benchjson -require OptCacheSelect -require 'OptCacheSelect/miss' -require Landlord \
 		-require RunEvents -require RunOptFileBundle1000
 BENCH_REPLICATE = $(GO) test -run '^$$' -bench 'BenchmarkPlan|BenchmarkPredictorObserve|BenchmarkReplan' \
-	-benchmem -benchtime=100x ./internal/replicate/ \
+	-cpu 1 -benchmem -benchtime=100x ./internal/replicate/ \
 	| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan
 
 # bench-json runs the core/landlord/simulate benchmarks and converts the

@@ -29,11 +29,13 @@ var manifest = map[string][]Contract{
 		{Func: "(*rankHeap).siftUp", Directives: []string{"noescape", "nobce"}},
 		{Func: "(*rankHeap).siftDown", Directives: []string{"noescape", "nobce"}},
 		{Func: "(*fileSet).has", Directives: []string{"noescape", "inline"}},
+		{Func: "(*fileSet).appendMembers", Directives: []string{"noescape", "nobce"}},
 		{Func: "(*resortState).chargedSizeSkip", Directives: []string{"noescape", "nobce"}},
 		{Func: "(*resortState).repair", Directives: []string{"noescape", "nobce"}},
 		{Func: "rankOf", Directives: []string{"noescape", "inline"}},
 		{Func: "chargedSize", Directives: []string{"noescape", "inline", "nobce"}},
 		{Func: "(*OptFileBundle).RelativeValue", Directives: []string{"noescape", "nobce"}},
+		{Func: "residentEntries", Directives: []string{"noescape", "nobce"}},
 	},
 	// Cache accessors sit inside every admission and eviction decision;
 	// they must stay cheap enough to inline and must not force their

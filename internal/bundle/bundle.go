@@ -170,7 +170,9 @@ func (b Bundle) Intersect(other Bundle) Bundle {
 	return out
 }
 
-// Minus returns the files of b that are not in other.
+// Minus returns the files of b that are not in other, or nil when there are
+// none. The result is sized once, at the first surviving file, to len(b) —
+// its upper bound — so a non-empty difference costs exactly one allocation.
 func (b Bundle) Minus(other Bundle) Bundle {
 	var out Bundle
 	j := 0
@@ -180,6 +182,9 @@ func (b Bundle) Minus(other Bundle) Bundle {
 		}
 		if j < len(other) && other[j] == id {
 			continue
+		}
+		if out == nil {
+			out = make(Bundle, 0, len(b))
 		}
 		out = append(out, id)
 	}

@@ -108,6 +108,23 @@ func TestSetOperations(t *testing.T) {
 	}
 }
 
+// TestMinusAllocatesOnce pins Minus's allocation shape: a non-empty
+// difference is sized once up front instead of grown by append, and an
+// empty one stays nil.
+func TestMinusAllocatesOnce(t *testing.T) {
+	a := New(1, 2, 3, 5, 7, 9)
+	b := New(2, 9)
+	if got := testing.AllocsPerRun(100, func() { _ = a.Minus(b) }); got != 1 {
+		t.Errorf("Minus allocs = %v, want 1", got)
+	}
+	if got := a.Minus(a); got != nil {
+		t.Errorf("a.Minus(a) = %#v, want nil", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = a.Minus(a) }); got != 0 {
+		t.Errorf("empty Minus allocs = %v, want 0", got)
+	}
+}
+
 func TestKeyUniqueAndStable(t *testing.T) {
 	a := New(3, 1, 2)
 	b := New(1, 2, 3)

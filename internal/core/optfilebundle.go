@@ -280,14 +280,16 @@ func (p *OptFileBundle) maybeDecay() {
 // replace frees space for an incoming bundle b whose missing files need
 // `needed` bytes, using OptCacheSelect to decide what to keep.
 func (p *OptFileBundle) replace(b bundle.Bundle, needed bundle.Size) {
-	sel := p.runSelection(b)
-
+	// The keep-set starts as the incoming bundle, which is also the set the
+	// cache-resident filter tests against; the selection's files join it
+	// after the round.
 	keep := &p.keepScratch
 	keep.reset()
-	for _, f := range sel.Files {
+	for _, f := range b {
 		keep.add(f)
 	}
-	for _, f := range b {
+	sel := p.runSelection(b, keep)
+	for _, f := range sel.Files {
 		keep.add(f)
 	}
 
@@ -342,21 +344,16 @@ func (p *OptFileBundle) replace(b bundle.Bundle, needed bundle.Size) {
 
 // runSelection converts the (possibly truncated) history candidates into
 // Select inputs and runs OptCacheSelect with the incoming bundle's space
-// reserved (Free = b, capacity reduced by s(F(b))).
-func (p *OptFileBundle) runSelection(b bundle.Bundle) Selection {
+// reserved (Free = b, capacity reduced by s(F(b))). in holds exactly b's
+// files.
+func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
 	p.entriesScratch = p.hist.CandidatesAppend(p.entriesScratch[:0])
 	entries := p.entriesScratch
 	if p.opts.History.Truncation == history.CacheResident {
 		// §5.3: offer only the requests the cache currently supports (plus
 		// whatever overlaps the incoming bundle, which is Free anyway).
 		// Degrees and values still come from the global history.
-		filtered := entries[:0]
-		for _, e := range entries {
-			if p.cache.Supports(e.Bundle.Minus(b)) {
-				filtered = append(filtered, e)
-			}
-		}
-		entries = filtered
+		entries = residentEntries(p.cache, entries, in)
 	}
 	cands := p.candScratch[:0]
 	for _, e := range entries {
@@ -391,6 +388,29 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle) Selection {
 		})
 	}
 	return sel
+}
+
+// residentEntries filters entries in place, keeping — in order — those
+// whose every file is in the incoming bundle (stamped into in) or resident
+// in c: the §5.3 cache-resident candidate set, c.Supports(e.Bundle.Minus(b))
+// for each entry without materializing the difference. It runs once per
+// history entry on every miss, so it stays allocation- and
+// bounds-check-free.
+//
+//fbvet:noescape
+//fbvet:nobce single-slice walks; membership tests are length-guarded
+func residentEntries(c *cache.Cache, entries []*history.Entry, in *fileSet) []*history.Entry {
+	filtered := entries[:0]
+next:
+	for _, e := range entries {
+		for _, f := range e.Bundle {
+			if !in.has(f) && !c.Contains(f) {
+				continue next
+			}
+		}
+		filtered = append(filtered, e)
+	}
+	return filtered
 }
 
 // RelativeValue scores a pending request for queue scheduling (§5.2

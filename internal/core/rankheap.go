@@ -1,7 +1,7 @@
 package core
 
 // The incremental OptCacheSelect ranking structure (DESIGN.md §13): an
-// index-tracking binary max-heap over the candidate table, ordered by the
+// index-tracking 4-ary max-heap over the candidate table, ordered by the
 // exact selection order (v'(r) descending, v(r) descending, candidate index
 // ascending). The greedy's per-round argmax becomes a pop; a pick *repairs*
 // the heap — only candidates sharing a newly-covered file re-rank — instead
@@ -26,11 +26,14 @@ type heapItem struct {
 	idx   int32   // candidate index (final tie-break, ascending)
 }
 
-// rankHeap is an index-tracking binary max-heap of candidates: heap holds
-// (key, index) slots ordered by better, and pos[i] is candidate i's heap
-// position (-1 when i is taken or parked). Tracking positions is what allows
-// repair: when a pick changes candidate i's rank, fix re-sifts it from pos[i]
-// in O(log n) instead of rebuilding the heap.
+// rankHeap is an index-tracking 4-ary max-heap of candidates: heap holds
+// (key, index) slots ordered by better, slot k's children are 4k+1..4k+4, and
+// pos[i] is candidate i's heap position (-1 when i is taken or parked).
+// Tracking positions is what allows repair: when a pick changes candidate
+// i's rank, fix re-sifts it from pos[i] in O(log n) instead of rebuilding the
+// heap. Four children per slot halve the depth a pop sifts through, at up to
+// three extra comparisons per level over contiguous slots; the extraction
+// order does not depend on the arity (see build).
 type rankHeap struct {
 	heap []heapItem
 	pos  []int32
@@ -99,9 +102,8 @@ func (h *rankHeap) push(st []candState, i int32) {
 }
 
 // popTop removes and returns the best-ranked candidate, or -1 when the heap
-// is empty. The displaced tail element sifts down with the same comparison
-// order as container/heap, so the extraction sequence is exactly the sorted
-// order of the comparator.
+// is empty. better is a total order, so the extraction sequence is exactly
+// the sorted order of the comparator.
 //
 //fbvet:noescape
 //fbvet:nobce child indices are guarded against the new length before use
@@ -144,7 +146,7 @@ func (h *rankHeap) build(st []candState) {
 		h.pos[i] = int32(len(h.heap))
 		h.heap = append(h.heap, item(st, int32(i)))
 	}
-	for k := len(h.heap)/2 - 1; k >= 0; k-- {
+	for k := (len(h.heap) - 2) / 4; k >= 0; k-- { // (len-2)/4: last slot with a child
 		h.siftDown(k)
 	}
 }
@@ -168,11 +170,11 @@ func (h *rankHeap) fix(st []candState, k int) {
 }
 
 // siftUp moves the element at position j toward the root while it outranks
-// its parent, shifting parents down (container/heap's swap order) and
-// updating pos for every displaced element.
+// its parent, shifting parents down and updating pos for every displaced
+// element.
 //
 //fbvet:noescape the sift must stay register/stack only
-//fbvet:nobce parent index (j-1)/2 < j stays provably in range
+//fbvet:nobce parent index (j-1)/4 < j stays provably in range
 func (h *rankHeap) siftUp(j int) {
 	hp, pos := h.heap, h.pos
 	if uint(j) >= uint(len(hp)) {
@@ -180,11 +182,11 @@ func (h *rankHeap) siftUp(j int) {
 	}
 	e := hp[j]
 	// Unsigned indices: ju starts below len and only ever moves to the
-	// parent (ju-1)/2 < ju, so every access stays in range and prove can
+	// parent (ju-1)/4 < ju, so every access stays in range and prove can
 	// drop the bounds checks.
 	ju := uint(j)
 	for ju > 0 && ju < uint(len(hp)) {
-		iu := (ju - 1) / 2
+		iu := (ju - 1) / 4
 		p := hp[iu]
 		if !better(&e, &p) {
 			break
@@ -203,12 +205,11 @@ func (h *rankHeap) siftUp(j int) {
 	}
 }
 
-// siftDown moves the element at position k toward the leaves while a child
-// outranks it, following container/heap's exact child-selection order
-// (left child, right child only when strictly better).
+// siftDown moves the element at position k toward the leaves while its best
+// child outranks it.
 //
 //fbvet:noescape
-//fbvet:nobce unsigned child arithmetic: 2*i+1 wraps above un, the same >= test covers it
+//fbvet:nobce unsigned child indices are tested against un before every load
 func (h *rankHeap) siftDown(k int) {
 	hp, pos := h.heap, h.pos
 	un := uint(len(hp))
@@ -217,16 +218,19 @@ func (h *rankHeap) siftDown(k int) {
 	}
 	i := uint(k)
 	for {
-		j1 := 2*i + 1
+		j1 := 4*i + 1
 		if j1 >= un {
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < un && better(&hp[j2], &hp[j1]) {
-			j = j2 // right child outranks left
+		// Best of the up-to-four children.
+		j := j1
+		for c := j1 + 1; c < min(j1+4, un); c++ {
+			if j < un && better(&hp[c], &hp[j]) { // j < un always; the test is the BCE proof
+				j = c
+			}
 		}
 		if j >= un || i >= un {
-			break // unreachable: j ∈ {j1, j2} < un and i is a previous j
+			break // unreachable: j < un by the child loop and i is a previous j
 		}
 		if !better(&hp[j], &hp[i]) {
 			break
@@ -251,7 +255,7 @@ func (h *rankHeap) siftDown(k int) {
 func (h *rankHeap) checkOrder(st []candState) {
 	if invariant.Enabled {
 		for k := 1; k < len(h.heap); k++ {
-			parent, child := &h.heap[(k-1)/2], &h.heap[k]
+			parent, child := &h.heap[(k-1)/4], &h.heap[k]
 			invariant.Check(!better(child, parent),
 				"core: rank heap order violated: child %d at %d outranks parent %d",
 				child.idx, k, parent.idx)
@@ -312,4 +316,20 @@ func (s *fileSet) add(f bundle.FileID) {
 func (s *fileSet) has(f bundle.FileID) bool {
 	i := int(f)
 	return i < len(s.stamp) && s.stamp[i] == s.gen
+}
+
+// appendMembers appends the set's files to dst in ascending FileID order: a
+// walk of the dense stamp table, O(largest FileID seen) with no comparisons,
+// which on the selection's file counts beats sorting the members.
+//
+//fbvet:noescape
+//fbvet:nobce range over the stamp table
+func (s *fileSet) appendMembers(dst []bundle.FileID) []bundle.FileID {
+	gen := s.gen
+	for i, g := range s.stamp {
+		if g == gen {
+			dst = append(dst, bundle.FileID(i))
+		}
+	}
+	return dst
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -238,6 +239,52 @@ func TestRankHeapPushAfterPark(t *testing.T) {
 	want := []int32{1, 0, 2, 3}
 	if got := drainOrder(t, &h, st); !slices.Equal(got, want) {
 		t.Errorf("extraction after re-push = %v, want %v", got, want)
+	}
+}
+
+// TestRankHeapRandomRepairs drives a heap several levels deep through random
+// key rewrites, pops and re-pushes. Keys come from a small set, so ties on
+// v'(r) and on v(r) are common and every sift leans on the index
+// tie-break. After each round the remaining extraction order must equal the
+// comparator's sorted order.
+func TestRankHeapRandomRepairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	keys := []float64{math.Inf(1), 8, 4, 2, 1, 0.5}
+	for round := range 20 {
+		st := make([]candState, 50+rng.Intn(300))
+		for i := range st {
+			st[i] = candState{v: keys[rng.Intn(len(keys))], value: keys[1+rng.Intn(len(keys)-1)]}
+		}
+		var h rankHeap
+		h.reset(len(st))
+		h.build(st)
+		var out []int32
+		for range len(st) / 2 {
+			switch op := rng.Intn(3); {
+			case op == 0 && h.len() > 0:
+				out = append(out, h.popTop())
+			case op == 1 && len(out) > 0:
+				i := out[len(out)-1]
+				out = out[:len(out)-1]
+				st[i].v = keys[rng.Intn(len(keys))]
+				h.push(st, i)
+			default:
+				i := rng.Intn(len(st))
+				if h.pos[i] < 0 {
+					continue
+				}
+				st[i].v = keys[rng.Intn(len(keys))]
+				h.fix(st, int(h.pos[i]))
+			}
+			h.checkOrder(st)
+		}
+		for _, i := range out {
+			st[i].taken = true
+		}
+		got := drainOrder(t, &h, st)
+		if want := referenceOrder(st); !slices.Equal(got, want) {
+			t.Fatalf("round %d: extraction = %v, want %v", round, got, want)
+		}
 	}
 }
 

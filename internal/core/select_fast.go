@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"fbcache/internal/bundle"
 )
@@ -104,7 +103,6 @@ func (s *resortState) reset(n int) {
 	}
 	s.touched = s.touched[:0]
 	s.chosenList = s.chosenList[:0]
-	s.files = s.files[:0]
 	s.fgen++
 	if s.fgen == 0 {
 		clear(s.fstamp)
@@ -278,15 +276,12 @@ func (s *resortState) run(cands []Candidate, capacity bundle.Size, opts SelectOp
 	var sel Selection
 	budget := capacity
 
-	// takeFiles records a pick's file effects: dedupe into the chosen set
+	// takeFiles records a pick's file effects: add them to the chosen set
 	// (which backs Selection.Files) and cover uncovered files into skip,
 	// collecting them for posting walks.
 	takeFiles := func(b bundle.Bundle) {
 		for _, f := range b {
-			if !s.chosen.has(f) {
-				s.chosen.add(f)
-				s.files = append(s.files, f)
-			}
+			s.chosen.add(f)
 			if !s.skip.has(f) {
 				s.skip.add(f)
 				s.covered = append(s.covered, f)
@@ -399,12 +394,6 @@ func (s *resortState) run(cands []Candidate, capacity bundle.Size, opts SelectOp
 		s.rh.checkOrder(s.st)
 	}
 
-	// Files: sorted, deduplicated union of the chosen candidates' files —
-	// the scratch-backed equivalent of the reference's setToBundle.
-	slices.Sort(s.files)
-	sel.Files = bundle.Bundle(s.files)
-	sel.Chosen = s.chosenList
-
 	// Step 3: the answer is the max of the greedy set and the single
 	// highest-value request that fits by itself (precomputed above). The
 	// solo winner's Files alias its candidate bundle — already canonical.
@@ -418,6 +407,14 @@ func (s *resortState) run(cands []Candidate, capacity bundle.Size, opts SelectOp
 			BudgetUsed:   soloSize,
 		}
 	}
+
+	// Files: sorted, deduplicated union of the chosen candidates' files —
+	// the scratch-backed equivalent of the reference's setToBundle. The
+	// chosen set is dense by FileID, so walking it yields them ascending
+	// without a comparison sort.
+	s.files = s.chosen.appendMembers(s.files[:0])
+	sel.Files = bundle.Bundle(s.files)
+	sel.Chosen = s.chosenList
 	return sel
 }
 

@@ -82,6 +82,23 @@ func TestQuickFastMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFastScratchReuseMatchesReference runs the same property through one
+// resortState, as OptFileBundle does across admissions: every stamped set,
+// posting list and result slice starts each run holding the previous run's
+// contents, so a reset that misses any of them shows up as a wrong
+// selection.
+func TestFastScratchReuseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(778))
+	var s resortState
+	for trial := range 400 {
+		cands, capacity, opts, seeds := exactInstance(rng)
+		ref := selectResortReference(cands, capacity, opts, seeds)
+		if fast := s.run(cands, capacity, opts, seeds); !sameSelection(ref, fast) {
+			t.Fatalf("trial %d: reused scratch selection %+v, reference %+v", trial, fast, ref)
+		}
+	}
+}
+
 func TestFastPaperExample(t *testing.T) {
 	cands, opts := paperExample()
 	opts.Resort = true
