@@ -75,7 +75,10 @@ bench:
 # admits run selection) and the Landlord loop must each be present and
 # report identical allocs/op — tracing must cost nothing when off — and
 # /miss must report 0 allocs/op; a pair that lost a line fails. The
-# disabled, enabled and promoted span paths must report 0 allocs/op.
+# disabled, enabled and promoted span paths must report 0 allocs/op. A
+# steady-state replication epoch (BenchmarkReplan/steady: one planner
+# reused across epochs, budget full) must stay at or below 50 allocs/op;
+# what it does allocate is the caller-owned Epoch slices and catalog growth.
 # -benchtime=100x keeps it fast enough to gate CI; ns/op on shared machines
 # is too noisy to gate, so compare it by eye or with benchstat on a quiet
 # machine.
@@ -94,6 +97,10 @@ bench-guard:
 	awk '/^BenchmarkSpan/ { print; allocs[++n]=$$(NF-1) } \
 	     END { if (n != 3 || allocs[1] != 0 || allocs[2] != 0 || allocs[3] != 0) { \
 	             print "FAIL: span recording allocates in steady state"; exit 1 } }' span-bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkReplan/steady' -benchmem -benchtime=100x ./internal/replicate/ >> bench-guard.txt
+	awk '/^BenchmarkReplan\/steady/ { print; n++; allocs=$$(NF-1) } \
+	     END { if (n != 1) { print "FAIL: BenchmarkReplan/steady line missing"; exit 1 } \
+	           if (allocs > 50) { print "FAIL: a steady-state replan epoch makes " allocs " allocs/op, gate is 50"; exit 1 } }' bench-guard.txt
 
 # One benchmark pipeline per checked-in BENCH file: the go-bench run piped
 # into benchjson, whose -require flags make a run that silently lost an
@@ -104,10 +111,10 @@ bench-guard:
 BENCH_CORE = $(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
 	-cpu 1 -benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
 	| $(GO) run ./cmd/benchjson -require OptCacheSelect -require 'OptCacheSelect/miss' -require Landlord \
-		-require RunEvents -require RunOptFileBundle1000
+		-require RunEvents -require 'RunEvents/replication' -require RunOptFileBundle1000
 BENCH_REPLICATE = $(GO) test -run '^$$' -bench 'BenchmarkPlan|BenchmarkPredictorObserve|BenchmarkReplan' \
 	-cpu 1 -benchmem -benchtime=100x ./internal/replicate/ \
-	| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan
+	| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan -require 'Replan/steady'
 
 # bench-json runs the core/landlord/simulate benchmarks and converts the
 # text output into schema-versioned JSON (BENCH_core.json) via benchjson —
@@ -138,7 +145,8 @@ bench-compare:
 	@echo wrote bench-compare.md
 
 # bench-json-replicate snapshots the replication planner's benchmarks
-# (static Plan, per-arrival predictor fold, full Replan epoch) into
+# (static Plan, per-arrival predictor fold, Replan epochs on a fresh and on
+# a reused planner) into
 # BENCH_replicate.json — the planner runs inside the event loop every epoch,
 # so its cost curve is gated like the core select loops.
 bench-json-replicate:
@@ -160,10 +168,13 @@ trace-check:
 # fuzz gives each harness FUZZTIME of coverage-guided search on top of the
 # checked-in corpora (testdata/fuzz/...). The Landlord target runs with
 # invariants armed so every generated input also probes the in-line checks.
+# The replicate target holds the dense-table re-planner to its map-and-sort
+# reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSelectFastMatchesReference -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzSelectHalfBound -fuzztime $(FUZZTIME) ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzLandlordInvariants -fuzztime $(FUZZTIME) -tags fbinvariant ./internal/policy/landlord/
+	$(GO) test -run '^$$' -fuzz FuzzReplanMatchesReference -fuzztime $(FUZZTIME) ./internal/replicate/
 
 # soak replays the fault-injection scenarios with invariants armed: the
 # multi-policy fault soak, the churn+correlated generated-scenario soak with

@@ -50,6 +50,18 @@ var manifest = map[string][]Contract{
 		{Func: "(*Cache).Supports", Directives: []string{"noescape", "inline", "nobce"}},
 		{Func: "(*Cache).Pinned", Directives: []string{"noescape", "inline"}},
 	},
+	// The replica catalog's per-candidate reads in every replan epoch: the
+	// local-copy test and the one ranking each candidate gets (DESIGN.md
+	// §12.1).
+	"fbcache/internal/grid": {
+		{Func: "(*Replicas).Has", Directives: []string{"noescape", "inline"}},
+		{Func: "(*Replicas).AppendRankedSources", Directives: []string{"noescape"}},
+	},
+	// The replan epoch's heat read walks the predictor's dense table into a
+	// reused buffer (DESIGN.md §12.1).
+	"fbcache/internal/replicate": {
+		{Func: "(*Predictor).appendSnapshot", Directives: []string{"noescape", "nobce"}},
+	},
 	// Landlord's credit read is on the ranking path of every admission.
 	"fbcache/internal/policy/landlord": {
 		{Func: "(*Landlord).Credit", Directives: []string{"noescape", "inline"}},

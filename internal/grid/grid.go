@@ -8,7 +8,6 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/mss"
@@ -126,13 +125,28 @@ func NewReplicas() *Replicas {
 
 // Add registers a replica of f at site s (idempotent).
 func (r *Replicas) Add(f bundle.FileID, s SiteID) {
-	for _, have := range r.locs[f] {
-		if have == s {
-			return
-		}
+	if r.Has(f, s) {
+		return
 	}
 	r.locs[f] = append(r.locs[f], s)
 }
+
+// Has reports whether site s holds a replica of f, without copying the
+// site list — the replica re-planner asks it once per hot file per epoch.
+//
+//fbvet:noescape
+//fbvet:inline per-candidate local-copy test of every replan epoch
+func (r *Replicas) Has(f bundle.FileID, s SiteID) bool {
+	for _, have := range r.locs[f] {
+		if have == s {
+			return true
+		}
+	}
+	return false
+}
+
+// NumSitesOf reports how many sites hold a replica of f (0 if unknown).
+func (r *Replicas) NumSitesOf(f bundle.FileID) int { return len(r.locs[f]) }
 
 // Remove deregisters the replica of f at site s, reporting whether it was
 // present. A file whose last replica is removed leaves the catalog entirely.
@@ -179,16 +193,31 @@ type Source struct {
 // Unreachable replicas (no link) are omitted; cost ties keep registration
 // order, so the first element is exactly BestSource's pick.
 func (r *Replicas) RankedSources(t *Topology, f bundle.FileID, size bundle.Size) []Source {
-	var out []Source
+	return r.AppendRankedSources(nil, t, f, size)
+}
+
+// AppendRankedSources appends RankedSources' result to dst and returns the
+// extended slice; dst's existing elements are left untouched, so a caller
+// ranking once per file reuses one buffer. Each source is sunk into place
+// as it is appended — an online stable insertion sort. Up to 20 sources
+// that is exactly what sort.SliceStable runs (it insertion-sorts blocks of
+// 20), and for any count a stable sort by cost has one result, so the
+// order is sort.SliceStable's without its allocations.
+//
+//fbvet:noescape
+func (r *Replicas) AppendRankedSources(dst []Source, t *Topology, f bundle.FileID, size bundle.Size) []Source {
+	base := len(dst)
 	for _, s := range r.locs[f] {
 		c := t.TransferSeconds(s, size)
 		if math.IsInf(c, 1) {
 			continue
 		}
-		out = append(out, Source{Site: s, Cost: c})
+		dst = append(dst, Source{Site: s, Cost: c})
+		for j := len(dst) - 1; j > base && dst[j].Cost < dst[j-1].Cost; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
-	return out
+	return dst
 }
 
 // BestSource picks the replica site with the lowest transfer cost to the

@@ -2,6 +2,10 @@ package grid
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"fbcache/internal/bundle"
@@ -221,5 +225,123 @@ func TestStageBundleCost(t *testing.T) {
 	// Missing replica -> error.
 	if _, _, err := reps.StageBundleCost(topo, bundle.New(1, 3), sizeOf); err == nil {
 		t.Error("missing replica accepted")
+	}
+}
+
+// rankedStable is the sort.SliceStable ranking AppendRankedSources must
+// reproduce.
+func rankedStable(r *Replicas, t *Topology, f bundle.FileID, size bundle.Size) []Source {
+	var out []Source
+	for _, s := range r.Sites(f) {
+		if c := t.TransferSeconds(s, size); !math.IsInf(c, 1) {
+			out = append(out, Source{Site: s, Cost: c})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
+	return out
+}
+
+// rankingTopo builds a local site plus n remote sites whose costs repeat
+// every three sites (so ties are common); every fifth site has no link.
+func rankingTopo(t *testing.T, n int) *Topology {
+	t.Helper()
+	topo, err := NewTopology("lbl", fastMSS("local"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		id, err := topo.AddSite("s", mss.Config{Name: "s", LatencySec: float64(1 + i%3), BandwidthBps: 100, Channels: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 4 {
+			continue
+		}
+		if err := topo.Connect(topo.Local(), id, Link{LatencySec: 1, BandwidthBps: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return topo
+}
+
+func TestAppendRankedSourcesMatchesSliceStable(t *testing.T) {
+	const n = 25 // past SliceStable's 20-element insertion-sort blocks
+	topo := rankingTopo(t, n)
+	check := func(name string, reps *Replicas, f bundle.FileID, prefix []Source) {
+		t.Helper()
+		dst := append(make([]Source, 0, len(prefix)+n), prefix...)
+		got := reps.AppendRankedSources(dst, topo, f, 100)
+		if !slices.Equal(got[:len(prefix)], prefix) {
+			t.Errorf("%s: prefix changed to %v", name, got[:len(prefix)])
+		}
+		if want := rankedStable(reps, topo, f, 100); !slices.Equal(got[len(prefix):], want) {
+			t.Errorf("%s: ranked %v, SliceStable %v", name, got[len(prefix):], want)
+		}
+	}
+
+	// Cost ties keep registration order: sites 7, 4 and 1 share a cost and
+	// are registered out of ID order, around the costlier site 2.
+	reps := NewReplicas()
+	for _, s := range []SiteID{7, 2, 4, 1} {
+		reps.Add(1, s)
+	}
+	check("ties", reps, 1, nil)
+	if got := reps.AppendRankedSources(nil, topo, 1, 100); got[0].Site != 7 || got[1].Site != 4 || got[2].Site != 1 {
+		t.Errorf("ties lost registration order: %v", got)
+	}
+
+	// Unreachable (+Inf) sites are omitted: 5 and 10 have no link.
+	reps.Add(2, 5)
+	reps.Add(2, 10)
+	if got := reps.AppendRankedSources(nil, topo, 2, 100); got != nil {
+		t.Errorf("only unreachable replicas ranked %v, want nil", got)
+	}
+	reps.Add(2, 3)
+	check("unreachable", reps, 2, nil)
+
+	// A non-empty dst prefix, costlier than anything appended, stays put.
+	check("prefix", reps, 1, []Source{{Site: 99, Cost: 1e9}, {Site: 98, Cost: 1e8}})
+
+	// Random registration orders over up to 25 sites, with the local site.
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		reps := NewReplicas()
+		f := bundle.FileID(trial)
+		for _, i := range rng.Perm(n)[:1+rng.Intn(n)] {
+			reps.Add(f, SiteID(1+i))
+		}
+		if trial%2 == 0 {
+			reps.Add(f, topo.Local())
+		}
+		check("random", reps, f, nil)
+		if got, want := reps.RankedSources(topo, f, 100), rankedStable(reps, topo, f, 100); !reflect.DeepEqual(got, want) {
+			t.Errorf("RankedSources %v, SliceStable %v", got, want)
+		}
+	}
+}
+
+func TestHasAndNumSitesOf(t *testing.T) {
+	reps := NewReplicas()
+	f := bundle.FileID(4)
+	if reps.Has(f, 0) || reps.NumSitesOf(f) != 0 {
+		t.Fatal("empty catalog reports a replica")
+	}
+	reps.Add(f, 0)
+	reps.Add(f, 2)
+	reps.Add(f, 2) // idempotent
+	if !reps.Has(f, 0) || !reps.Has(f, 2) || reps.Has(f, 1) || reps.Has(5, 0) {
+		t.Error("Has disagrees with the registrations")
+	}
+	if n := reps.NumSitesOf(f); n != 2 {
+		t.Errorf("NumSitesOf = %d, want 2", n)
+	}
+	reps.Remove(f, 0)
+	if reps.Has(f, 0) || !reps.Has(f, 2) || reps.NumSitesOf(f) != 1 {
+		t.Errorf("after removing site 0: Has(0)=%v Has(2)=%v n=%d", reps.Has(f, 0), reps.Has(f, 2), reps.NumSitesOf(f))
+	}
+	// The last replica leaving takes the file out of the catalog.
+	reps.Remove(f, 2)
+	if reps.Has(f, 2) || reps.NumSitesOf(f) != 0 || reps.Sites(f) != nil {
+		t.Errorf("file still catalogued after its last replica left: %v", reps.Sites(f))
 	}
 }

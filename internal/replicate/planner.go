@@ -1,9 +1,10 @@
 package replicate
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/grid"
@@ -59,13 +60,27 @@ type Epoch struct {
 // and an original (non-planted) replica is never removed — retirement can
 // only undo the planner's own copies. Not safe for concurrent use.
 type Planner struct {
-	topo    *grid.Topology
-	reps    *grid.Replicas
-	sizeOf  bundle.SizeFunc
-	pred    *Predictor
-	cfg     PlannerConfig
-	planted map[bundle.FileID]bundle.Size
+	topo   *grid.Topology
+	reps   *grid.Replicas
+	sizeOf bundle.SizeFunc
+	pred   *Predictor
+	cfg    PlannerConfig
+	// planted is dense, indexed by FileID; present marks a planted replica
+	// (zero-size files can be planted, so size alone cannot).
+	planted []plantedReplica
 	used    bundle.Size
+
+	// Per-epoch scratch, reused across Replan calls. None of it is handed
+	// out: an Epoch's slices are always appended fresh.
+	heat        []FileHeat
+	ranked      []grid.Source
+	emergencies []Action
+	normal      []candidate
+}
+
+type plantedReplica struct {
+	size    bundle.Size
+	present bool
 }
 
 // NewPlanner wires a planner over the live topology, catalog and predictor.
@@ -76,10 +91,7 @@ func NewPlanner(topo *grid.Topology, reps *grid.Replicas, sizeOf bundle.SizeFunc
 	if cfg.Budget < 0 {
 		cfg.Budget = 0
 	}
-	return &Planner{
-		topo: topo, reps: reps, sizeOf: sizeOf, pred: pred, cfg: cfg,
-		planted: make(map[bundle.FileID]bundle.Size),
-	}, nil
+	return &Planner{topo: topo, reps: reps, sizeOf: sizeOf, pred: pred, cfg: cfg}, nil
 }
 
 // PlantedBytes reports the budget currently occupied by planner replicas.
@@ -93,39 +105,37 @@ func (pl *Planner) PlantedBytes() bundle.Size { return pl.used }
 // the replica catalog.
 func (pl *Planner) Replan(now float64, avail Availability) Epoch {
 	ep := Epoch{At: now}
-	heat := pl.pred.Snapshot(now)
+	pl.heat = pl.pred.appendSnapshot(pl.heat[:0], now)
 	local := pl.topo.Local()
 
 	// Retirement first, so the reclaimed budget is available this epoch.
+	// The dense table is walked in file-ID order, so Retired is sorted.
 	if pl.cfg.RetireBelow > 0 {
-		var retire []bundle.FileID
-		for f := range pl.planted {
-			if pl.pred.Heat(now, f) < pl.cfg.RetireBelow {
-				retire = append(retire, f)
+		for i := range pl.planted {
+			p := &pl.planted[i]
+			f := bundle.FileID(i)
+			if !p.present || !(pl.pred.Heat(now, f) < pl.cfg.RetireBelow) {
+				continue
 			}
-		}
-		sort.Slice(retire, func(i, j int) bool { return retire[i] < retire[j] })
-		for _, f := range retire {
 			// Never drop the last copy: planted replicas are copies of a
 			// remote original, but guard against a catalog that lost it.
-			if len(pl.reps.Sites(f)) <= 1 {
+			if pl.reps.NumSitesOf(f) <= 1 {
 				continue
 			}
 			pl.reps.Remove(f, local)
-			size := pl.planted[f]
-			delete(pl.planted, f)
-			pl.used -= size
+			pl.used -= p.size
 			ep.Retired = append(ep.Retired, f)
-			ep.RetiredBytes += size
+			ep.RetiredBytes += p.size
+			*p = plantedReplica{}
 		}
 	}
 
-	// Candidates: hot, not yet local, with a live source. Snapshot order is
-	// sorted by file ID, so the scan is deterministic.
-	var emergencies, normal []Action
-	for _, fh := range heat {
+	// Candidates: hot, not yet local, with a live source. The snapshot is
+	// in file-ID order, so the scan is deterministic and Unreachable sorted.
+	pl.emergencies, pl.normal = pl.emergencies[:0], pl.normal[:0]
+	for _, fh := range pl.heat {
 		f := fh.File
-		if fh.Heat <= 0 || hasLocal(pl.reps, f, local) {
+		if fh.Heat <= 0 || pl.reps.Has(f, local) {
 			continue
 		}
 		// Hysteresis: a file too cold to keep is too cold to plant, or the
@@ -134,7 +144,10 @@ func (pl *Planner) Replan(now float64, avail Availability) Epoch {
 			continue
 		}
 		size := pl.sizeOf(f)
-		src, cost, live := pl.bestLiveSource(f, size, now, avail)
+		// Rank once; the live-source pick and the risk test read the same
+		// buffer.
+		pl.ranked = pl.reps.AppendRankedSources(pl.ranked[:0], pl.topo, f, size)
+		src, cost, live := bestLiveSource(pl.ranked, now, avail)
 		if !live {
 			// No registered replica, or every holder is dark right now.
 			ep.Unreachable = append(ep.Unreachable, f)
@@ -145,28 +158,23 @@ func (pl *Planner) Replan(now float64, avail Availability) Epoch {
 		if !math.IsInf(cost, 0) && !math.IsInf(localCost, 0) {
 			a.SavingsSec = cost - localCost
 		}
-		if pl.atRisk(f, size, now, avail) {
+		if pl.atRisk(pl.ranked, now, avail) {
 			a.Emergency = true
-			emergencies = append(emergencies, a)
+			pl.emergencies = append(pl.emergencies, a)
 			continue
 		}
 		// Normal candidates must actually save staging time.
 		if a.SavingsSec <= 0 {
 			continue
 		}
-		normal = append(normal, a)
+		pl.normal = append(pl.normal, newCandidate(a))
 	}
 
 	// Emergencies bypass the heat ranking: hottest first so the budget
 	// protects the files that hurt most to lose, ties on file ID.
-	sort.Slice(emergencies, func(i, j int) bool {
-		if emergencies[i].Heat != emergencies[j].Heat { //fbvet:allow floateq — strict ordering only; ties fall through to file ID
-			return emergencies[i].Heat > emergencies[j].Heat
-		}
-		return emergencies[i].File < emergencies[j].File
-	})
+	slices.SortFunc(pl.emergencies, hottestFirst)
 	remaining := pl.cfg.Budget - pl.used
-	for _, a := range emergencies {
+	for _, a := range pl.emergencies {
 		if a.Size > remaining {
 			continue
 		}
@@ -175,21 +183,42 @@ func (pl *Planner) Replan(now float64, avail Availability) Epoch {
 		ep.Emergency++
 	}
 
-	ep.Actions = append(ep.Actions, greedy(normal, remaining)...)
+	ep.Actions = greedy(ep.Actions, pl.normal, remaining)
 
 	// Commit: the epoch's actions become planted local replicas.
 	for _, a := range ep.Actions {
 		pl.reps.Add(a.File, local)
-		pl.planted[a.File] = a.Size
+		pl.plant(a.File, a.Size)
 		pl.used += a.Size
 		ep.PlannedBytes += a.Size
 	}
 	return ep
 }
 
-// bestLiveSource picks the cheapest reachable source that is up at now.
-func (pl *Planner) bestLiveSource(f bundle.FileID, size bundle.Size, now float64, avail Availability) (grid.SiteID, float64, bool) {
-	for _, s := range pl.reps.RankedSources(pl.topo, f, size) {
+// plant records a planner-installed replica of f, growing the dense table
+// (amortized geometrically by append) on first sight of a larger ID.
+func (pl *Planner) plant(f bundle.FileID, size bundle.Size) {
+	if int(f) >= len(pl.planted) {
+		pl.planted = append(pl.planted, make([]plantedReplica, int(f)+1-len(pl.planted))...)
+	}
+	pl.planted[f] = plantedReplica{size: size, present: true}
+}
+
+// hottestFirst orders emergencies by heat descending, then file ID. The
+// order is total over distinct files, so any sort gives one result.
+func hottestFirst(x, y Action) int {
+	if x.Heat != y.Heat { //fbvet:allow floateq — strict ordering only; ties fall through to file ID
+		if x.Heat > y.Heat {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(x.File, y.File)
+}
+
+// bestLiveSource picks the cheapest ranked source that is up at now.
+func bestLiveSource(ranked []grid.Source, now float64, avail Availability) (grid.SiteID, float64, bool) {
+	for _, s := range ranked {
 		if avail == nil || avail.Up(int(s.Site), now) {
 			return s.Site, s.Cost, true
 		}
@@ -197,14 +226,14 @@ func (pl *Planner) bestLiveSource(f bundle.FileID, size bundle.Size, now float64
 	return 0, 0, false
 }
 
-// atRisk reports whether every currently-live source of f is scheduled to go
-// dark within the risk horizon — the emergency-replication trigger.
-func (pl *Planner) atRisk(f bundle.FileID, size bundle.Size, now float64, avail Availability) bool {
+// atRisk reports whether every currently-live ranked source is scheduled to
+// go dark within the risk horizon — the emergency-replication trigger.
+func (pl *Planner) atRisk(ranked []grid.Source, now float64, avail Availability) bool {
 	if avail == nil || pl.cfg.RiskHorizonSec <= 0 {
 		return false
 	}
 	anyLive := false
-	for _, s := range pl.reps.RankedSources(pl.topo, f, size) {
+	for _, s := range ranked {
 		if !avail.Up(int(s.Site), now) {
 			continue
 		}

@@ -41,7 +41,7 @@ func TestReplanPlantsHotFilesWithinBudget(t *testing.T) {
 	if ep.PlannedBytes != bundle.MB || pl.PlantedBytes() != bundle.MB {
 		t.Errorf("planned=%v planted=%v", ep.PlannedBytes, pl.PlantedBytes())
 	}
-	if !hasLocal(reps, 1, topo.Local()) {
+	if !reps.Has(1, topo.Local()) {
 		t.Error("action not committed to the catalog")
 	}
 	// Second epoch: budget full, f1 already local -> nothing to do.
@@ -67,7 +67,7 @@ func TestReplanRetiresColdReplicas(t *testing.T) {
 	if len(ep.Retired) != 1 || ep.Retired[0] != 1 || ep.RetiredBytes != bundle.MB {
 		t.Fatalf("retired = %v (%v bytes), want f1 (1MB)", ep.Retired, ep.RetiredBytes)
 	}
-	if hasLocal(reps, 1, topo.Local()) {
+	if reps.Has(1, topo.Local()) {
 		t.Error("retired replica still in the catalog")
 	}
 	if pl.PlantedBytes() != 0 {
@@ -94,7 +94,7 @@ func TestReplanNeverRetiresLastCopy(t *testing.T) {
 	if len(ep.Retired) != 0 {
 		t.Fatalf("retired the last copy: %v", ep.Retired)
 	}
-	if !hasLocal(reps, 1, topo.Local()) {
+	if !reps.Has(1, topo.Local()) {
 		t.Error("last copy gone from the catalog")
 	}
 }

@@ -2,7 +2,6 @@ package replicate
 
 import (
 	"math"
-	"sort"
 
 	"fbcache/internal/bundle"
 )
@@ -60,8 +59,9 @@ type FileHeat struct {
 }
 
 type heatState struct {
-	heat float64 // value as of last
-	last float64 // sim-time of last fold
+	heat    float64 // value as of last
+	last    float64 // sim-time of last fold
+	tracked bool    // observed since construction or the last Prune drop
 }
 
 // Predictor estimates per-file request heat online with exponential decay:
@@ -74,13 +74,19 @@ type heatState struct {
 // Not safe for concurrent use; the discrete-event simulator is
 // single-goroutine.
 type Predictor struct {
-	cfg  PredictorConfig
-	heat map[bundle.FileID]heatState
+	cfg PredictorConfig
+	// heat is dense, indexed by FileID and grown (amortized geometrically
+	// by append) on first sight of a larger ID, so reads walk it in ID
+	// order with no sort. Untracked slots hold the zero state. Prune clears
+	// slots but never shrinks the table: memory is bounded by the largest
+	// FileID observed.
+	heat []heatState
+	n    int // tracked slots
 }
 
 // NewPredictor returns an empty predictor (defaults applied).
 func NewPredictor(cfg PredictorConfig) *Predictor {
-	return &Predictor{cfg: cfg.withDefaults(), heat: make(map[bundle.FileID]heatState)}
+	return &Predictor{cfg: cfg.withDefaults()}
 }
 
 // decayTo folds s forward to time now. Observations arrive in nondecreasing
@@ -97,10 +103,17 @@ func (p *Predictor) decayTo(s heatState, now float64) heatState {
 }
 
 func (p *Predictor) add(now float64, f bundle.FileID, v float64) {
+	if int(f) >= len(p.heat) {
+		p.heat = append(p.heat, make([]heatState, int(f)+1-len(p.heat))...)
+	}
 	s := p.decayTo(p.heat[f], now)
 	s.heat += v
 	if s.last < now {
 		s.last = now
+	}
+	if !s.tracked {
+		s.tracked = true
+		p.n++
 	}
 	p.heat[f] = s
 }
@@ -126,34 +139,47 @@ func (p *Predictor) Observe(now float64, b bundle.Bundle, value float64) {
 
 // Heat reports f's decayed heat as of now without mutating the predictor.
 func (p *Predictor) Heat(now float64, f bundle.FileID) float64 {
+	if int(f) >= len(p.heat) {
+		return 0
+	}
 	return p.decayTo(p.heat[f], now).heat
 }
 
-// Snapshot returns every tracked file's decayed heat as of now, sorted by
-// file ID — map order never leaks into plans.
+// Snapshot returns every tracked file's decayed heat as of now, in file-ID
+// order: the dense table is walked by index, so every consumer scan is
+// deterministic without a sort.
 func (p *Predictor) Snapshot(now float64) []FileHeat {
-	out := make([]FileHeat, 0, len(p.heat))
-	for f, s := range p.heat {
-		out = append(out, FileHeat{File: f, Heat: p.decayTo(s, now).heat})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].File < out[j].File })
-	return out
+	return p.appendSnapshot(make([]FileHeat, 0, p.n), now)
 }
 
-// Prune drops files whose decayed heat fell below floor, bounding the
-// predictor's memory over long runs. Returns how many were dropped.
-func (p *Predictor) Prune(now float64, floor float64) int {
-	var drop []bundle.FileID
-	for f, s := range p.heat {
-		if p.decayTo(s, now).heat < floor {
-			drop = append(drop, f)
+// appendSnapshot appends Snapshot's readings to dst — the replan epoch's
+// form, which reuses one buffer across epochs.
+//
+//fbvet:noescape
+//fbvet:nobce
+func (p *Predictor) appendSnapshot(dst []FileHeat, now float64) []FileHeat {
+	for i, s := range p.heat {
+		if s.tracked {
+			dst = append(dst, FileHeat{File: bundle.FileID(i), Heat: p.decayTo(s, now).heat})
 		}
 	}
-	for _, f := range drop {
-		delete(p.heat, f)
+	return dst
+}
+
+// Prune drops files whose decayed heat fell below floor, bounding how many
+// files a Snapshot reports over long runs. Returns how many were dropped.
+func (p *Predictor) Prune(now float64, floor float64) int {
+	dropped := 0
+	heat := p.heat
+	for i, s := range heat {
+		if s.tracked && p.decayTo(s, now).heat < floor {
+			heat[i] = heatState{}
+			dropped++
+		}
 	}
-	return len(drop)
+	p.n -= dropped
+	return dropped
 }
 
 // Len reports the number of files currently tracked.
-func (p *Predictor) Len() int { return len(p.heat) }
+func (p *Predictor) Len() int { return p.n }

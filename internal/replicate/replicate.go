@@ -18,9 +18,10 @@
 package replicate
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/floats"
@@ -65,70 +66,87 @@ func Plan(hist *history.History, topo *grid.Topology, reps *grid.Replicas, sizeO
 		budget = 0
 	}
 
-	// File heat: Σ value of history entries using the file.
-	heat := make(map[bundle.FileID]float64)
+	// File heat: Σ value of history entries using the file, accumulated
+	// into a dense table so the candidate scan walks it in file-ID order.
+	type fileHeat struct {
+		sum  float64
+		seen bool // zero-value entries still count as observed
+	}
+	var heat []fileHeat
 	for _, e := range hist.Candidates() {
 		for _, f := range e.Bundle {
-			heat[f] += e.Value
+			if int(f) >= len(heat) {
+				heat = append(heat, make([]fileHeat, int(f)+1-len(heat))...)
+			}
+			heat[f].sum += e.Value
+			heat[f].seen = true
 		}
 	}
 
 	var res Result
 	local := topo.Local()
-	files := make([]bundle.FileID, 0, len(heat))
-	for f := range heat {
-		files = append(files, f)
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i] < files[j] })
-	var candidates []Action
-	for _, f := range files {
-		h := heat[f]
-		size := sizeOf(f)
-		if hasLocal(reps, f, local) {
+	var ranked []grid.Source
+	var candidates []candidate
+	for i, fh := range heat {
+		if !fh.seen {
 			continue
 		}
-		src, cost, ok := reps.BestSource(topo, f, size)
-		if !ok {
+		f := bundle.FileID(i)
+		size := sizeOf(f)
+		if reps.Has(f, local) {
+			continue
+		}
+		ranked = reps.AppendRankedSources(ranked[:0], topo, f, size)
+		if len(ranked) == 0 {
 			res.Unreachable = append(res.Unreachable, f)
 			continue
 		}
 		localCost := topo.TransferSeconds(local, size)
-		saving := cost - localCost
+		saving := ranked[0].Cost - localCost
 		if saving <= 0 || math.IsInf(saving, 0) {
 			continue
 		}
-		candidates = append(candidates, Action{
-			File: f, From: src, Size: size,
-			SavingsSec: saving, Heat: h,
-		})
+		candidates = append(candidates, newCandidate(Action{
+			File: f, From: ranked[0].Site, Size: size,
+			SavingsSec: saving, Heat: fh.sum,
+		}))
 	}
-	sort.Slice(res.Unreachable, func(i, j int) bool { return res.Unreachable[i] < res.Unreachable[j] })
 
-	res.Actions = greedy(candidates, budget)
+	res.Actions = greedy(nil, candidates, budget)
 	return res, nil
 }
 
-// greedy fills the byte budget densest-first. Ties on density go to the
-// larger Size first (equal per-byte efficiency, more absolute saving — and
-// zero-size files, whose density is +Inf, cannot starve large high-saving
-// candidates of their budget), then to the smaller FileID so the order is a
-// strict total one.
-func greedy(candidates []Action, budget bundle.Size) []Action {
-	sort.Slice(candidates, func(i, j int) bool {
-		di := density(candidates[i])
-		dj := density(candidates[j])
-		if !floats.AlmostEqual(di, dj) {
-			return di > dj
-		}
-		if candidates[i].Size != candidates[j].Size {
-			return candidates[i].Size > candidates[j].Size
-		}
-		return candidates[i].File < candidates[j].File
-	})
+// candidate is an Action with its greedy sort key computed once, not on
+// every comparison.
+type candidate struct {
+	Action
+	density float64
+}
 
-	var plan []Action
+func newCandidate(a Action) candidate { return candidate{Action: a, density: density(a)} }
+
+// greedy fills the byte budget densest-first, appending the picks to dst.
+// Ties on density go to the larger Size first (equal per-byte efficiency,
+// more absolute saving — and zero-size files, whose density is +Inf,
+// cannot starve large high-saving candidates of their budget), then to the
+// smaller FileID.
+//
+// candidates is sorted in place, and only when the plan could be
+// non-empty: a zero budget stops the fill before its first pick, and a
+// candidate larger than the whole budget never fits, so if none fits the
+// plan is empty in any order. The tolerant density test (AlmostEqual) is
+// not transitive, so the order is whatever pdqsort makes of it;
+// slices.SortFunc runs the same pdqsort as the sort.Slice it replaced
+// (DESIGN.md §12.1).
+func greedy(dst []Action, candidates []candidate, budget bundle.Size) []Action {
+	if !anyFits(candidates, budget) {
+		return dst
+	}
+	slices.SortFunc(candidates, byDensity)
+
 	var used bundle.Size
-	for _, a := range candidates {
+	for i := range candidates {
+		a := &candidates[i].Action
 		if used == budget {
 			break // budget exactly consumed; no candidate can fit
 		}
@@ -136,9 +154,41 @@ func greedy(candidates []Action, budget bundle.Size) []Action {
 			continue
 		}
 		used += a.Size
-		plan = append(plan, a)
+		dst = append(dst, *a)
 	}
-	return plan
+	return dst
+}
+
+// anyFits reports whether greedy could pick anything from candidates.
+func anyFits(candidates []candidate, budget bundle.Size) bool {
+	if budget == 0 {
+		return false
+	}
+	for i := range candidates {
+		if candidates[i].Size <= budget {
+			return true
+		}
+	}
+	return false
+}
+
+// byDensity orders candidates for greedy: density descending (tolerant),
+// then Size descending, then FileID ascending. Its negative results are
+// exactly the less function the pdqsort decisions read.
+func byDensity(x, y candidate) int {
+	if !floats.AlmostEqual(x.density, y.density) {
+		if x.density > y.density {
+			return -1
+		}
+		return 1
+	}
+	if x.Size != y.Size {
+		if x.Size > y.Size {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(x.File, y.File)
 }
 
 // density is heat-weighted saving per byte; zero-size files rank first.
@@ -148,15 +198,6 @@ func density(a Action) float64 {
 		return math.Inf(1)
 	}
 	return total / float64(a.Size)
-}
-
-func hasLocal(reps *grid.Replicas, f bundle.FileID, local grid.SiteID) bool {
-	for _, s := range reps.Sites(f) {
-		if s == local {
-			return true
-		}
-	}
-	return false
 }
 
 // Apply commits a plan to the replica catalog (adds local replicas).

@@ -2,6 +2,7 @@ package replicate
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"fbcache/internal/bundle"
@@ -176,7 +177,7 @@ func TestGreedyBudgetStopAndSizeTieBreak(t *testing.T) {
 	// density = heat*saving/size: a (2MB) and b (1MB) both at density 8.
 	a := mk(1, 2*bundle.MB, 4, float64(4*bundle.MB))
 	b := mk(2, bundle.MB, 4, float64(2*bundle.MB))
-	plan := greedy([]Action{b, a}, 2*bundle.MB)
+	plan := greedyActions([]Action{b, a}, 2*bundle.MB)
 	if len(plan) != 1 || plan[0].File != 1 {
 		t.Errorf("equal density must prefer larger size first: %+v", plan)
 	}
@@ -185,7 +186,7 @@ func TestGreedyBudgetStopAndSizeTieBreak(t *testing.T) {
 	// walking the tail (which an overrun candidate list would pollute).
 	c := mk(3, bundle.MB, 100, 1e6)
 	d := mk(4, bundle.MB, 1, 1e6)
-	plan = greedy([]Action{c, d}, bundle.MB)
+	plan = greedyActions([]Action{c, d}, bundle.MB)
 	if len(plan) != 1 || plan[0].File != 3 {
 		t.Errorf("exact-fit budget plan = %+v, want just f3", plan)
 	}
@@ -193,8 +194,44 @@ func TestGreedyBudgetStopAndSizeTieBreak(t *testing.T) {
 	// Zero-size files rank first (density +Inf) but consume no budget, so
 	// the large candidate still lands.
 	z := mk(5, 0, 1, 1)
-	plan = greedy([]Action{d, z}, bundle.MB)
+	plan = greedyActions([]Action{d, z}, bundle.MB)
 	if len(plan) != 2 || plan[0].File != 5 || plan[1].File != 4 {
 		t.Errorf("zero-size + large plan = %+v", plan)
+	}
+}
+
+// greedyActions runs greedy over plain actions.
+func greedyActions(acts []Action, budget bundle.Size) []Action {
+	cands := make([]candidate, len(acts))
+	for i, a := range acts {
+		cands[i] = newCandidate(a)
+	}
+	return greedy(nil, cands, budget)
+}
+
+// When no candidate fits the budget on its own, or the budget is zero,
+// greedy returns its dst unchanged without sorting: the plan is empty in
+// any order.
+func TestGreedySkipsSortWhenNothingFits(t *testing.T) {
+	mk := func(f bundle.FileID, size bundle.Size, heat float64) candidate {
+		return newCandidate(Action{File: f, Size: size, Heat: heat, SavingsSec: 1})
+	}
+	for _, c := range []struct {
+		name   string
+		budget bundle.Size
+		cands  []candidate
+	}{
+		{"all too large", bundle.MB, []candidate{mk(1, 2*bundle.MB, 1), mk(2, 3*bundle.MB, 9)}},
+		{"zero budget", 0, []candidate{mk(1, bundle.MB, 1), mk(2, 0, 9)}},
+	} {
+		orig := slices.Clone(c.cands)
+		dst := []Action{{File: 7}}
+		got := greedy(dst, c.cands, c.budget)
+		if !reflect.DeepEqual(got, dst) {
+			t.Errorf("%s: plan = %+v, want dst unchanged", c.name, got)
+		}
+		if !reflect.DeepEqual(c.cands, orig) {
+			t.Errorf("%s: candidates reordered without a possible pick", c.name)
+		}
 	}
 }

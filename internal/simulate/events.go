@@ -272,9 +272,11 @@ type gridStager struct {
 	sites []*mss.System // indexed by SiteID
 	rs    *resilient
 
-	// srcs is the ranked-source scratch reused across stage calls (one
-	// ranking happens per staged file; stageFile only reads the slice).
-	srcs []int
+	// ranked and srcs are the ranked-source scratch reused across stage
+	// calls (one ranking happens per staged file; stageFile only reads the
+	// slices).
+	ranked []grid.Source
+	srcs   []int
 }
 
 // siteAvailability adapts the injector's per-site schedule (outages,
@@ -317,7 +319,8 @@ func (g *gridStager) stage(now float64, job int, files bundle.Bundle, sizeOf bun
 	local := g.topo.Local()
 	for _, f := range files {
 		size := sizeOf(f)
-		ranked := g.reps.RankedSources(g.topo, f, size)
+		g.ranked = g.reps.AppendRankedSources(g.ranked[:0], g.topo, f, size)
+		ranked := g.ranked
 		if len(ranked) == 0 {
 			return stageOutcome{}, fmt.Errorf("simulate: no reachable replica for file %d", f)
 		}

@@ -12,7 +12,7 @@ import (
 // buildGrid creates a two-site grid: a fast local disk archive and a slow
 // remote tape archive across a WAN, and registers replicas per the split
 // function (true -> local replica exists, false -> remote only).
-func buildGrid(t *testing.T, w *workload.Workload, localReplica func(f bundle.FileID) bool) *GridConfig {
+func buildGrid(t testing.TB, w *workload.Workload, localReplica func(f bundle.FileID) bool) *GridConfig {
 	t.Helper()
 	topo, err := grid.NewTopology("local", mss.Config{
 		Name: "local-disk", LatencySec: 0.2, BandwidthBps: 200e6, Channels: 4,

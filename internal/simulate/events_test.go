@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"fbcache/internal/bundle"
+	"fbcache/internal/faults"
 	"fbcache/internal/mss"
 	"fbcache/internal/policy/landlord"
 	"fbcache/internal/workload"
@@ -136,14 +138,45 @@ func TestRunEventsMaxJobs(t *testing.T) {
 	}
 }
 
+// BenchmarkRunEvents measures whole discrete-event runs of 500 zipf jobs.
+// /plain is the single-archive model. /replication is the 2-site grid with
+// remote-only replicas, one outage of the remote archive and the epoch
+// re-planner on (the shape of bench/'s sim-grid workload: 0.2 jobs/s, 40 s
+// epochs, so about 60 epochs per run); the catalog is rebuilt outside the
+// timer because the planner mutates it.
 func BenchmarkRunEvents(b *testing.B) {
 	w := smallWorkload(b, workload.Zipf, 500)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := optFactory()(w.Spec.CacheSize, w.Catalog.SizeFunc())
-		if _, err := RunEvents(w, p, EventOptions{ArrivalRate: 5, MSS: fastMSS(), Seed: 1}); err != nil {
-			b.Fatal(err)
+	b.Run("plain", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := optFactory()(w.Spec.CacheSize, w.Catalog.SizeFunc())
+			if _, err := RunEvents(w, p, EventOptions{ArrivalRate: 5, MSS: fastMSS(), Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("replication", func(b *testing.B) {
+		sc := faults.Scenario{Sites: map[int]faults.SiteFaults{
+			1: {Outages: []faults.Window{{Start: 625, End: 1125}}},
+		}}
+		repl := ReplicationConfig{EpochSec: 40, Budget: 4 * w.Spec.CacheSize, RiskHorizonSec: 80}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cfg := buildGrid(b, w, func(bundle.FileID) bool { return false })
+			b.StartTimer()
+			p := optFactory()(w.Spec.CacheSize, w.Catalog.SizeFunc())
+			st, err := RunEvents(w, p, EventOptions{
+				ArrivalRate: 0.2, Grid: cfg, Seed: 1, Faults: &sc, Replication: &repl,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st.Replication.Epochs == 0 {
+				b.Fatal("re-planner never ran")
+			}
+		}
+	})
 }
