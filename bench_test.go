@@ -195,7 +195,10 @@ func benchPolicyRun(b *testing.B, mk func(w *Workload) Policy) {
 	}
 }
 
-// Ablation: the paper's Note (resort) greedy vs the literal Algorithm 1.
+// Ablation baseline: the shipped configuration, whose policy always runs the
+// paper's Note (resort) greedy. The literal Algorithm 1 is reachable only
+// through core.Select (SelectOptions.Resort false); internal/solver compares
+// the two there.
 func BenchmarkAblationResortGreedy(b *testing.B) {
 	benchPolicyRun(b, func(w *Workload) Policy {
 		return NewCache(w.Spec.CacheSize, w.Catalog.SizeFunc())

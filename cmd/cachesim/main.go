@@ -28,7 +28,6 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
-	"fbcache/internal/history"
 	"fbcache/internal/metrics"
 	"fbcache/internal/mss"
 	"fbcache/internal/obs"
@@ -98,7 +97,7 @@ func main() {
 		runComparison(w, capacity, *seed)
 		return
 	}
-	p, opt := buildPolicy(*policyName, capacity, w.Catalog.SizeFunc(), *seed)
+	p := buildPolicy(*policyName, capacity, w.Catalog.SizeFunc(), *seed)
 
 	var tracer obs.Tracer
 	if *traceOut != "" {
@@ -167,7 +166,7 @@ func main() {
 	}
 
 	opts := simulate.Options{QueueLength: *queueLen, SeriesInterval: *series, Tracer: tracer}
-	if *queueLen > 1 && opt != nil {
+	if opt, ok := p.(*core.OptFileBundle); ok && *queueLen > 1 {
 		opts.Scheduler = queue.ByScore("relative-value", opt.RelativeValue)
 	}
 	col, err := simulate.Run(w, p, opts)
@@ -201,32 +200,28 @@ func loadWorkload(path string, spec workload.Spec) (*workload.Workload, error) {
 	return trace.ReadFile(path)
 }
 
-// buildPolicy returns the policy and, for optfilebundle, the concrete type
-// (needed for relative-value queue scheduling).
-func buildPolicy(name string, capacity bundle.Size, sizeOf bundle.SizeFunc, seed int64) (policy.Policy, *core.OptFileBundle) {
+// buildPolicy returns the named policy over a fresh cache.
+func buildPolicy(name string, capacity bundle.Size, sizeOf bundle.SizeFunc, seed int64) policy.Policy {
 	switch strings.ToLower(name) {
 	case "optfilebundle", "opt":
-		opt := core.New(capacity, sizeOf, core.Options{
-			History: history.Config{Truncation: history.CacheResident},
-		})
-		return policy.WrapOptFileBundle(opt), opt
+		return core.New(capacity, sizeOf, core.DefaultOptions())
 	case "landlord":
-		return landlord.New(capacity, sizeOf), nil
+		return landlord.New(capacity, sizeOf)
 	case "lru":
-		return classic.NewLRU(capacity, sizeOf), nil
+		return classic.NewLRU(capacity, sizeOf)
 	case "lfu":
-		return classic.NewLFU(capacity, sizeOf), nil
+		return classic.NewLFU(capacity, sizeOf)
 	case "gdsf":
-		return classic.NewGDSF(capacity, sizeOf), nil
+		return classic.NewGDSF(capacity, sizeOf)
 	case "fifo":
-		return classic.NewFIFO(capacity, sizeOf), nil
+		return classic.NewFIFO(capacity, sizeOf)
 	case "mru":
-		return classic.NewMRU(capacity, sizeOf), nil
+		return classic.NewMRU(capacity, sizeOf)
 	case "random":
-		return classic.NewRandom(capacity, sizeOf, seed), nil
+		return classic.NewRandom(capacity, sizeOf, seed)
 	default:
 		die("unknown policy %q", name)
-		return nil, nil
+		return nil
 	}
 }
 
@@ -239,7 +234,7 @@ func runComparison(w *workload.Workload, capacity bundle.Size, seed int64) {
 
 	names := []string{"optfilebundle", "landlord", "gdsf", "lru", "lfu", "fifo", "random", "mru"}
 	for _, name := range names {
-		p, _ := buildPolicy(name, capacity, w.Catalog.SizeFunc(), seed)
+		p := buildPolicy(name, capacity, w.Catalog.SizeFunc(), seed)
 		col, err := simulate.Run(w, p, simulate.Options{})
 		if err != nil {
 			die("%v", err)

@@ -2,14 +2,19 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"fbcache/internal/bundle"
+	"fbcache/internal/core"
+	"fbcache/internal/obs"
 	"fbcache/internal/trace"
 	"fbcache/internal/workload"
 )
@@ -61,14 +66,60 @@ func TestBuildPolicyAllNames(t *testing.T) {
 	sizeOf := func(bundle.FileID) bundle.Size { return 1 }
 	names := []string{"optfilebundle", "opt", "landlord", "lru", "lfu", "gdsf", "fifo", "mru", "random"}
 	for _, n := range names {
-		p, opt := buildPolicy(n, 100, sizeOf, 1)
+		p := buildPolicy(n, 100, sizeOf, 1)
 		if p == nil {
 			t.Fatalf("%s: nil policy", n)
 		}
-		if (n == "optfilebundle" || n == "opt") != (opt != nil) {
-			t.Errorf("%s: concrete handle = %v", n, opt)
+		// The -queue relative-value scheduler needs the concrete type.
+		if _, ok := p.(*core.OptFileBundle); (n == "optfilebundle" || n == "opt") != ok {
+			t.Errorf("%s: *core.OptFileBundle = %v", n, ok)
 		}
 		p.Admit(bundle.New(1, 2))
+	}
+}
+
+// TestInstallTracerReachesPolicyEmitSites checks that the tracer cachesim
+// installs for -trace-out reaches a policy's own emit sites, not only its
+// cache's load/evict stream: a full cache of two, then a miss that must
+// evict.
+func TestInstallTracerReachesPolicyEmitSites(t *testing.T) {
+	sizeOf := func(bundle.FileID) bundle.Size { return 1 }
+	for _, tc := range []struct {
+		name string
+		want []string // the kinds emitted, sorted
+	}{
+		{"optfilebundle", []string{obs.KindAdmit, obs.KindEvict, obs.KindLoad, obs.KindSelectRound}},
+		{"landlord", []string{obs.KindAdmit, obs.KindCreditDecay, obs.KindEvict, obs.KindLoad}},
+		{"lru", []string{obs.KindEvict, obs.KindLoad}},
+	} {
+		var buf bytes.Buffer
+		sink := obs.NewJSONLSink(&buf)
+		p := buildPolicy(tc.name, 2, sizeOf, 1)
+		installTracer(p, sink)
+		p.Admit(bundle.New(1, 2))
+		if res := p.Admit(bundle.New(3)); res.Hit || res.FilesEvicted == 0 {
+			t.Fatalf("%s: second admit %+v, want a miss that evicts", tc.name, res)
+		}
+		if err := sink.Err(); err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		dec := json.NewDecoder(&buf)
+		for dec.More() {
+			var rec struct{ Kind string }
+			if err := dec.Decode(&rec); err != nil {
+				t.Fatal(err)
+			}
+			seen[rec.Kind] = true
+		}
+		got := make([]string, 0, len(seen))
+		for k := range seen {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: emitted kinds %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
-	"fbcache/internal/history"
-	"fbcache/internal/policy"
 	"fbcache/internal/srm"
 	"fbcache/internal/workload"
 )
@@ -20,9 +18,7 @@ import (
 // server, drive it with runBench, verify the numbers add up.
 func TestRunBenchEndToEnd(t *testing.T) {
 	cat := bundle.NewCatalog()
-	pol := policy.WrapOptFileBundle(core.New(2*bundle.GB, cat.SizeFunc(), core.Options{
-		History: history.Config{Truncation: history.CacheResident},
-	}))
+	pol := core.New(2*bundle.GB, cat.SizeFunc(), core.DefaultOptions())
 	service := srm.New(pol, cat)
 	server, err := srm.Serve(service, "127.0.0.1:0")
 	if err != nil {

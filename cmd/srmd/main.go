@@ -36,10 +36,8 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
-	"fbcache/internal/history"
 	"fbcache/internal/obs"
 	"fbcache/internal/obs/span"
-	"fbcache/internal/policy"
 	"fbcache/internal/srm"
 )
 
@@ -87,10 +85,7 @@ var testStop chan struct{}
 
 func runServer(addr, httpAddr, debugAddr string, cacheGB float64, drain time.Duration, flightOut string, slow time.Duration, stdout, stderr io.Writer) int {
 	cat := bundle.NewCatalog()
-	pol := policy.WrapOptFileBundle(core.New(
-		bundle.Size(cacheGB*float64(bundle.GB)), cat.SizeFunc(),
-		core.Options{History: history.Config{Truncation: history.CacheResident}},
-	))
+	pol := core.New(bundle.Size(cacheGB*float64(bundle.GB)), cat.SizeFunc(), core.DefaultOptions())
 	// The flight recorder is always on (disabled spans would hide exactly
 	// the incidents it exists for); -flight-out adds the on-disk JSONL dump.
 	opts := span.Options{SlowThreshold: slow}

@@ -13,8 +13,6 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
-	"fbcache/internal/history"
-	"fbcache/internal/policy"
 	"fbcache/internal/srm"
 )
 
@@ -23,10 +21,7 @@ import (
 func testServer(t *testing.T) string {
 	t.Helper()
 	cat := bundle.NewCatalog()
-	pol := policy.WrapOptFileBundle(core.New(
-		64*bundle.MB, cat.SizeFunc(),
-		core.Options{History: history.Config{Truncation: history.CacheResident}},
-	))
+	pol := core.New(64*bundle.MB, cat.SizeFunc(), core.DefaultOptions())
 	service := srm.New(pol, cat)
 	server, err := srm.Serve(service, "127.0.0.1:0")
 	if err != nil {

@@ -3,7 +3,6 @@ package fbcache
 import (
 	"fbcache/internal/cluster"
 	"fbcache/internal/core"
-	"fbcache/internal/history"
 	"fbcache/internal/policy"
 	"fbcache/internal/prefetch"
 )
@@ -27,9 +26,7 @@ func NewShardedCache(totalCapacity Size, numNodes int, sizeOf SizeFunc, mk Polic
 // OptFileBundle policies (cache-resident history), for sharded caches and
 // experiment sweeps.
 func OptFileBundlePolicyFactory() PolicyFactory {
-	return policy.OptFileBundleFactory(core.Options{
-		History: history.Config{Truncation: history.CacheResident},
-	})
+	return policy.OptFileBundleFactory(core.DefaultOptions())
 }
 
 // Association prefetching (§1's "pre-fetching").

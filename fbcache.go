@@ -132,28 +132,19 @@ func WithSeededSelection(k int) Option {
 // literal variants. Policies returned by this package are not safe for
 // concurrent use — wrap them in an SRM (NewSRM) to share across goroutines.
 func NewCache(capacity Size, sizeOf SizeFunc, opts ...Option) Policy {
-	o := core.Options{History: history.Config{Truncation: history.CacheResident}}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return policy.WrapOptFileBundle(core.New(capacity, sizeOf, o))
+	return NewOptFileBundle(capacity, sizeOf, opts...)
 }
 
 // NewOptFileBundle is like NewCache but returns the concrete policy type,
 // exposing History(), RelativeValue() and the other OptFileBundle-specific
-// methods.
+// methods; it is also a Policy.
 func NewOptFileBundle(capacity Size, sizeOf SizeFunc, opts ...Option) *core.OptFileBundle {
-	o := core.Options{History: history.Config{Truncation: history.CacheResident}}
+	o := core.DefaultOptions()
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return core.New(capacity, sizeOf, o)
 }
-
-// WrapPolicy lifts a concrete *core.OptFileBundle (from NewOptFileBundle)
-// to the Policy interface, e.g. for Run after wiring its RelativeValue into
-// a queue scheduler.
-func WrapPolicy(p *core.OptFileBundle) Policy { return policy.WrapOptFileBundle(p) }
 
 // NewLandlord returns the bundle-adapted Landlord baseline (Algorithm 3).
 func NewLandlord(capacity Size, sizeOf SizeFunc) Policy {

@@ -140,7 +140,7 @@ func TestQueuedFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := NewOptFileBundle(spec.CacheSize, w.Catalog.SizeFunc())
-	col, err := Run(w, WrapPolicy(opt), SimOptions{
+	col, err := Run(w, opt, SimOptions{
 		QueueLength: 10,
 		Scheduler:   ScoreScheduler("relative-value", opt.RelativeValue),
 	})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fbcache/internal/bundle"
-	"fbcache/internal/history"
 	"fbcache/internal/obs"
 )
 
@@ -48,7 +47,7 @@ func BenchmarkOptCacheSelect(b *testing.B) {
 // variant's, small enough that about 71% of admits miss.
 const missCapacity = 100
 
-var missOptions = Options{History: history.Config{Truncation: history.CacheResident}}
+var missOptions = DefaultOptions()
 
 // warmAdmitLoop builds a unit-size policy and the 256 bundles (1–5 files out
 // of 2 000) it cycles through, then runs four warm-up passes: first-time

@@ -17,9 +17,6 @@ import (
 type Options struct {
 	// History configures the L(R) structure (truncation, limits).
 	History history.Config
-	// Resort enables the "Note" variant of OptCacheSelect (default in all
-	// constructors; the literal Algorithm 1 is used when false).
-	Resort bool
 	// Prefetch enables the literal Algorithm 2 Step 3: files of selected
 	// historical requests that are not resident are fetched eagerly
 	// (F(Opt) \ F(C)). When false (the default), the selection only decides
@@ -41,6 +38,12 @@ type Options struct {
 	// long-running cache follow workload drift.
 	DecayEvery  int
 	DecayFactor float64
+}
+
+// DefaultOptions returns the shipped configuration: §5.3 cache-resident
+// history truncation. The zero Options is the paper's §3 full-history model.
+func DefaultOptions() Options {
+	return Options{History: history.Config{Truncation: history.CacheResident}}
 }
 
 // Result reports what one Admit call did.
@@ -108,22 +111,8 @@ type OptFileBundle struct {
 
 // New builds an OptFileBundle policy over a fresh cache of the given
 // capacity. sizeOf must report the size of every file that can be requested.
+// It always selects with the resort greedy (SelectOptions.Resort).
 func New(capacity bundle.Size, sizeOf bundle.SizeFunc, opts Options) *OptFileBundle {
-	if sizeOf == nil {
-		panic("core: nil SizeFunc")
-	}
-	opts.Resort = true // constructors default to the practical variant
-	return &OptFileBundle{
-		cache:  cache.New(capacity),
-		hist:   history.New(opts.History),
-		sizeOf: sizeOf,
-		opts:   opts,
-	}
-}
-
-// NewWithOptions is like New but honours opts.Resort as given, allowing the
-// literal Algorithm 1 greedy to be selected for ablation studies.
-func NewWithOptions(capacity bundle.Size, sizeOf bundle.SizeFunc, opts Options) *OptFileBundle {
 	if sizeOf == nil {
 		panic("core: nil SizeFunc")
 	}
@@ -139,9 +128,6 @@ func NewWithOptions(capacity bundle.Size, sizeOf bundle.SizeFunc, opts Options) 
 func (p *OptFileBundle) Name() string {
 	if p.opts.SeedK > 0 {
 		return fmt.Sprintf("optfilebundle-k%d", p.opts.SeedK)
-	}
-	if !p.opts.Resort {
-		return "optfilebundle-literal"
 	}
 	return "optfilebundle"
 }
@@ -363,7 +349,7 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
 	opts := SelectOptions{
 		SizeOf:   p.sizeOf,
 		DegreeOf: p.hist.CandidateDegreeFunc(entries),
-		Resort:   p.opts.Resort,
+		Resort:   true,
 		Free:     b,
 	}
 	budget := p.cache.Capacity() - b.TotalSize(p.sizeOf)

@@ -93,7 +93,7 @@ func TestReplacementPrefersCombinationOverPopularity(t *testing.T) {
 	// mix, a full cache of 3 must converge to holding {f1,f3,f5} — not the
 	// most popular files {f5,f6,f7}. The strict convergence claim needs the
 	// paper-literal rebuild (LiteralEvict) plus prefetch of the keep-set.
-	p := NewWithOptions(3, unitSize, Options{Resort: true, LiteralEvict: true, Prefetch: true})
+	p := New(3, unitSize, Options{LiteralEvict: true, Prefetch: true})
 	reqs := []bundle.Bundle{
 		bundle.New(1, 3, 5), bundle.New(2, 4, 6, 7), bundle.New(1, 5),
 		bundle.New(4, 6, 7), bundle.New(3, 5), bundle.New(5, 6, 7),
@@ -115,7 +115,7 @@ func TestReplacementPrefersCombinationOverPopularity(t *testing.T) {
 }
 
 func TestLiteralEvictRebuildsCache(t *testing.T) {
-	p := NewWithOptions(4, unitSize, Options{Resort: true, LiteralEvict: true})
+	p := New(4, unitSize, Options{LiteralEvict: true})
 	p.Admit(bundle.New(1, 2))
 	p.Admit(bundle.New(3, 4))
 	// With literal eviction, every admission that triggers replace rebuilds
@@ -133,7 +133,7 @@ func TestLiteralEvictRebuildsCache(t *testing.T) {
 }
 
 func TestPrefetchLoadsSelectedBundles(t *testing.T) {
-	p := NewWithOptions(6, unitSize, Options{Resort: true, Prefetch: true, LiteralEvict: true})
+	p := New(6, unitSize, Options{Prefetch: true, LiteralEvict: true})
 	// Make {1,2,3} very popular.
 	for i := 0; i < 10; i++ {
 		p.Admit(bundle.New(1, 2, 3))
@@ -191,28 +191,18 @@ func TestNamesDistinguishVariants(t *testing.T) {
 	if got := New(1, unitSize, Options{}).Name(); got != "optfilebundle" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := NewWithOptions(1, unitSize, Options{}).Name(); got != "optfilebundle-literal" {
-		t.Errorf("literal Name = %q", got)
-	}
 	if got := New(1, unitSize, Options{SeedK: 2}).Name(); got != "optfilebundle-k2" {
 		t.Errorf("seeded Name = %q", got)
 	}
 }
 
 func TestNilSizeFuncPanics(t *testing.T) {
-	for _, ctor := range []func(){
-		func() { New(1, nil, Options{}) },
-		func() { NewWithOptions(1, nil, Options{}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			ctor()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	New(1, nil, Options{})
 }
 
 // Fuzz-style stress: random workloads must never violate cache invariants,
@@ -231,7 +221,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 		{History: history.Config{Truncation: history.Window, Limit: 8}},
 		{SeedK: 1, History: history.Config{Truncation: history.Window, Limit: 6}},
 	} {
-		p := NewWithOptions(60, sizeOf, func() Options { o := opts; o.Resort = true; return o }())
+		p := New(60, sizeOf, opts)
 		for step := 0; step < 400; step++ {
 			n := 1 + rng.Intn(4)
 			ids := make([]bundle.FileID, n)

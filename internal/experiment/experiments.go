@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
@@ -84,9 +83,7 @@ func (c Config) baseSpec(pop workload.Popularity, maxFilePct float64) workload.S
 // evaluation: the practical resort variant with the §5.3 cache-resident
 // history truncation.
 func optFactory() policy.Factory {
-	return policy.OptFileBundleFactory(core.Options{
-		History: history.Config{Truncation: history.CacheResident},
-	})
+	return policy.OptFileBundleFactory(core.DefaultOptions())
 }
 
 // PaperExampleRequests returns the request pool of the §3 worked example
@@ -396,11 +393,8 @@ func (c Config) Figure9() ([]*Table, error) {
 			Series:   []string{"optfilebundle"},
 		}
 		for _, q := range qs {
-			opt := core.New(c.CacheSize, w.Catalog.SizeFunc(), core.Options{
-				History: history.Config{Truncation: history.CacheResident},
-			})
-			p := policy.WrapOptFileBundle(opt)
-			col, err := simulate.Run(w, p, simulate.Options{
+			opt := core.New(c.CacheSize, w.Catalog.SizeFunc(), core.DefaultOptions())
+			col, err := simulate.Run(w, opt, simulate.Options{
 				QueueLength: q,
 				Scheduler:   queue.ByScore("relative-value", opt.RelativeValue),
 			})
@@ -546,5 +540,3 @@ func monotoneNonIncreasing(vals []float64, tol float64) bool {
 	}
 	return true
 }
-
-var _ = math.NaN // referenced by tests

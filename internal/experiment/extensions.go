@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"fbcache/internal/bundle"
 	"fbcache/internal/cluster"
 	"fbcache/internal/mss"
 	"fbcache/internal/policy/landlord"
@@ -171,8 +170,6 @@ func (c Config) ShardingStudy() (*Table, error) {
 	t.Notes = append(t.Notes, "node count 1 equals the monolithic cache; unserviceable shards count as full misses")
 	return t, nil
 }
-
-var _ = bundle.MB // keep bundle imported for future studies
 
 // OverlapStudy probes how file sharing drives OptFileBundle's advantage:
 // the workload's file pool is partitioned into clusters (requests draw

@@ -9,7 +9,6 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
-	"fbcache/internal/policy"
 	"fbcache/internal/queue"
 	"fbcache/internal/srm"
 )
@@ -19,7 +18,7 @@ func newService(capacity bundle.Size, fileSizes ...bundle.Size) *srm.SRM {
 	for _, s := range fileSizes {
 		cat.AddAnonymous(s)
 	}
-	pol := policy.WrapOptFileBundle(core.New(capacity, cat.SizeFunc(), core.Options{}))
+	pol := core.New(capacity, cat.SizeFunc(), core.Options{})
 	return srm.New(pol, cat)
 }
 
@@ -160,7 +159,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		cat.AddAnonymous(5)
 	}
-	pol := policy.WrapOptFileBundle(core.New(100, cat.SizeFunc(), core.Options{}))
+	pol := core.New(100, cat.SizeFunc(), core.Options{})
 	s := srm.New(pol, cat)
 	m := NewManager(s, Config{Workers: 4, Scheduler: queue.AgeLimit(queue.FCFS(), 8)})
 	defer m.Close()

@@ -56,7 +56,7 @@ func generate(t testing.TB, policyName string, seed int64, timed bool) []traceio
 	case "optfilebundle":
 		opt := core.New(w.Spec.CacheSize, w.Catalog.SizeFunc(), core.Options{})
 		opt.SetTracer(sink)
-		p = policy.WrapOptFileBundle(opt)
+		p = opt
 	case "landlord":
 		ll := landlord.New(w.Spec.CacheSize, w.Catalog.SizeFunc())
 		ll.SetTracer(sink)

@@ -7,11 +7,12 @@
 //
 // The package has three parts:
 //
-//   - Registry (registry.go): typed counters, gauges and fixed-bucket
-//     histograms with deterministic Snapshot and Delta APIs. Instruments are
-//     safe for concurrent use (the SRM service updates them under load);
-//     the registry itself never reads the wall clock, so simulation code can
-//     record sim-time observations without perturbing determinism.
+//   - Registry (registry.go): read-through counters and gauges
+//     (CounterFunc, GaugeFunc) and fixed-bucket histograms, with a
+//     deterministic Snapshot. Histograms are safe for concurrent use (the
+//     SRM service observes them under load); the registry itself never
+//     reads the wall clock, so simulation code can record sim-time
+//     observations without perturbing determinism.
 //   - Tracer (trace.go, sinks.go): a hook interface with one method per
 //     typed event — Admit, Load, Evict, SelectRound, CreditDecay, Stage
 //     (Start/Retry/Failover/Done phases), JobServed, ReplicaPlan and Span —

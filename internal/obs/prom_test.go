@@ -11,13 +11,13 @@ import (
 
 func exampleRegistry() *Registry {
 	r := NewRegistry()
-	r.NewCounter("fb_jobs_total", "Jobs admitted.").Add(12)
-	r.NewGauge("fb_used_bytes", "Bytes resident.").Set(1.5e9)
+	r.CounterFunc("fb_jobs_total", "Jobs admitted.", func() float64 { return 12 })
+	r.GaugeFunc("fb_used_bytes", "Bytes resident.", func() float64 { return 1.5e9 })
 	h := r.NewHistogram("fb_wait_seconds", "Queue wait.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(30)
-	r.NewGauge(`fb_info{policy="opt"}`, "Build info.").Set(1)
+	r.GaugeFunc(`fb_info{policy="opt"}`, "Build info.", func() float64 { return 1 })
 	return r
 }
 

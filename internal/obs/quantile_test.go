@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// oneTo returns the bucket bounds 1, 2, ..., n.
+func oneTo(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = float64(i + 1)
+	}
+	return out
+}
+
 // TestQuantileExactOnBoundAlignedValues pins the estimator against
 // distributions whose observations sit exactly on bucket bounds, where
 // linear interpolation must reproduce the true quantile with no error.
@@ -18,21 +27,21 @@ func TestQuantileExactOnBoundAlignedValues(t *testing.T) {
 	}{
 		{
 			name:    "uniform 1..10, median",
-			bounds:  LinearBuckets(1, 1, 10),
+			bounds:  oneTo(10),
 			observe: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 			q:       0.5,
 			want:    5,
 		},
 		{
 			name:    "uniform 1..10, p90",
-			bounds:  LinearBuckets(1, 1, 10),
+			bounds:  oneTo(10),
 			observe: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 			q:       0.9,
 			want:    9,
 		},
 		{
 			name:    "uniform 1..10, p100 hits the top bound",
-			bounds:  LinearBuckets(1, 1, 10),
+			bounds:  oneTo(10),
 			observe: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 			q:       1,
 			want:    10,
@@ -116,7 +125,7 @@ func TestQuantileDegenerateInputs(t *testing.T) {
 
 func TestP50P90P99(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.NewHistogram("trio", "", LinearBuckets(1, 1, 100))
+	h := reg.NewHistogram("trio", "", oneTo(100))
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}

@@ -55,47 +55,6 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Counter is a monotonically non-decreasing int64. Safe for concurrent use.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n; negative deltas panic — a counter only goes up.
-func (c *Counter) Add(n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("obs: counter decremented by %d", n))
-	}
-	c.v.Add(n)
-}
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a float64 that can move in both directions. Safe for concurrent
-// use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add shifts the value by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket distribution. Bucket layouts are chosen at
 // registration and never change, so snapshots from the same registry are
 // always comparable. Safe for concurrent use.
@@ -125,15 +84,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum reports the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExpBuckets returns n upper bounds start, start*factor, start*factor², ...
 func ExpBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)
@@ -145,22 +95,14 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// DefSecondsBuckets is a general-purpose layout for durations in seconds
-// (sim-time or otherwise), 5ms to 100s.
-func DefSecondsBuckets() []float64 {
-	return []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 25, 50, 100}
-}
-
 // metric is one registered instrument.
 type metric struct {
 	name string // may carry a {label="value",...} suffix
 	help string
 	kind Kind
 
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() float64 // func-backed counter or gauge; read at snapshot
+	hist *Histogram
+	fn   func() float64 // a counter or gauge, read at snapshot time
 }
 
 // Registry holds named instruments and produces deterministic snapshots.
@@ -221,20 +163,6 @@ func splitName(name string) (family, labels string) {
 		}
 	}
 	return name, ""
-}
-
-// NewCounter registers and returns a counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&metric{name: name, help: help, kind: KindCounter, counter: c})
-	return c
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&metric{name: name, help: help, kind: KindGauge, gauge: g})
-	return g
 }
 
 // NewHistogram returns an unregistered histogram with the given upper
@@ -385,10 +313,6 @@ func (r *Registry) Snapshot() Snapshot {
 		switch {
 		case m.fn != nil:
 			s.Value = m.fn()
-		case m.counter != nil:
-			s.Value = float64(m.counter.Value())
-		case m.gauge != nil:
-			s.Value = m.gauge.Value()
 		case m.hist != nil:
 			h := m.hist
 			s.Sum = h.Sum()
@@ -416,43 +340,4 @@ func (s Snapshot) Get(name string) (Metric, bool) {
 		return s.Metrics[i], true
 	}
 	return Metric{}, false
-}
-
-// Delta returns s with every counter and histogram reduced by its value in
-// prev (gauges pass through unchanged): the activity between the two
-// snapshots. Metrics absent from prev are returned as-is.
-//
-// Counter resets are handled the way Prometheus's rate() handles them: if a
-// counter's value (or a histogram's observation count) went backwards —
-// prev was taken from a since-restarted component, or from a different
-// registry that happened to share names — the metric is returned as-is, the
-// activity since the reset, rather than as a nonsense negative delta.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	out := Snapshot{Metrics: make([]Metric, len(s.Metrics))}
-	copy(out.Metrics, s.Metrics)
-	for i := range out.Metrics {
-		m := &out.Metrics[i]
-		p, ok := prev.Get(m.Name)
-		if !ok || m.Kind == KindGauge {
-			continue
-		}
-		if m.Kind == KindCounter && m.Value < p.Value {
-			continue // reset: report the raw post-reset value
-		}
-		if m.Kind == KindHistogram && m.Count < p.Count {
-			continue // reset: report the raw post-reset distribution
-		}
-		m.Value -= p.Value
-		if m.Kind == KindHistogram {
-			m.Sum -= p.Sum
-			m.Count -= p.Count
-			m.Buckets = append([]Bucket(nil), m.Buckets...)
-			for j := range m.Buckets {
-				if j < len(p.Buckets) {
-					m.Buckets[j].Count -= p.Buckets[j].Count
-				}
-			}
-		}
-	}
-	return out
 }

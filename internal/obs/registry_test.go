@@ -1,61 +1,81 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
+// TestCounterConcurrent registers func-backed counters from several
+// goroutines while others snapshot the registry: registration and Snapshot
+// share the registry lock, and every counter reads its final value.
 func TestCounterConcurrent(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("obs_test_total", "test counter")
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			var n atomic.Int64
+			r.CounterFunc(fmt.Sprintf("obs_test_%d_total", w), "test counter",
+				func() float64 { return float64(n.Load()) })
+			for i := 0; i < per; i++ {
+				n.Add(1)
+			}
+		}(w)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Inc()
-			}
+			r.Snapshot()
 		}()
 	}
 	wg.Wait()
-	if got := c.Value(); got != workers*per {
-		t.Fatalf("counter = %d, want %d", got, workers*per)
+	s := r.Snapshot()
+	if len(s.Metrics) != workers {
+		t.Fatalf("snapshot has %d metrics, want %d", len(s.Metrics), workers)
+	}
+	for _, m := range s.Metrics {
+		if m.Value != per {
+			t.Errorf("%s = %g, want %d", m.Name, m.Value, per)
+		}
 	}
 }
 
+// TestGaugeConcurrentAdd reads a func-backed gauge through snapshots taken
+// while writers move its source: every read is a value the source held.
 func TestGaugeConcurrentAdd(t *testing.T) {
 	r := NewRegistry()
-	g := r.NewGauge("obs_test_gauge", "test gauge")
+	var halves atomic.Int64
+	r.GaugeFunc("obs_test_gauge", "test gauge", func() float64 { return float64(halves.Load()) * 0.5 })
 	const workers, per = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				g.Add(0.5)
+				halves.Add(1)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			m, _ := r.Snapshot().Get("obs_test_gauge")
+			if m.Value < 0 || m.Value > float64(workers*per)*0.5 {
+				t.Errorf("mid-run gauge = %g, outside [0, %g]", m.Value, float64(workers*per)*0.5)
 			}
 		}()
 	}
 	wg.Wait()
-	// 0.5 is exactly representable, so the CAS loop sums exactly.
-	if got, want := g.Value(), float64(workers*per)*0.5; got != want {
+	m, _ := r.Snapshot().Get("obs_test_gauge")
+	if got, want := m.Value, float64(workers*per)*0.5; got != want {
 		t.Fatalf("gauge = %g, want %g", got, want)
 	}
 }
 
-func TestCounterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative counter add")
-		}
-	}()
-	(&Counter{}).Add(-1)
-}
+func zero() float64 { return 0 }
 
 func TestHistogramBucketEdges(t *testing.T) {
 	r := NewRegistry()
@@ -115,8 +135,8 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("zeta_total", "")
-	r.NewGauge("alpha", "")
+	r.CounterFunc("zeta_total", "", zero)
+	r.GaugeFunc("alpha", "", zero)
 	r.NewHistogram("mid_seconds", "", []float64{1})
 	a, b := r.Snapshot(), r.Snapshot()
 	if !reflect.DeepEqual(a, b) {
@@ -129,43 +149,6 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	want := []string{"alpha", "mid_seconds", "zeta_total"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("order = %v, want %v", names, want)
-	}
-}
-
-func TestDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("c_total", "")
-	g := r.NewGauge("g", "")
-	h := r.NewHistogram("h_seconds", "", []float64{1, 10})
-	c.Add(3)
-	g.Set(7)
-	h.Observe(0.5)
-	prev := r.Snapshot()
-	c.Add(2)
-	g.Set(4)
-	h.Observe(5)
-	h.Observe(0.1)
-	d := r.Snapshot().Delta(prev)
-
-	if m, _ := d.Get("c_total"); m.Value != 2 {
-		t.Errorf("counter delta = %g, want 2", m.Value)
-	}
-	if m, _ := d.Get("g"); m.Value != 4 {
-		t.Errorf("gauge in delta = %g, want current value 4", m.Value)
-	}
-	m, _ := d.Get("h_seconds")
-	if m.Count != 2 || m.Sum != 5.1 {
-		t.Errorf("histogram delta count=%d sum=%g, want 2 and 5.1", m.Count, m.Sum)
-	}
-	wantCum := []int64{1, 2, 2} // new obs: 0.1 (≤1), 5 (≤10)
-	for i, b := range m.Buckets {
-		if b.Count != wantCum[i] {
-			t.Errorf("delta bucket[%d] = %d, want %d", i, b.Count, wantCum[i])
-		}
-	}
-	// Delta must not mutate the source snapshots' bucket slices.
-	if m2, _ := r.Snapshot().Get("h_seconds"); m2.Buckets[2].Count != 3 {
-		t.Errorf("source snapshot mutated: %+v", m2.Buckets)
 	}
 }
 
@@ -190,13 +173,13 @@ func TestRegisterPanics(t *testing.T) {
 		fn   func(r *Registry)
 	}{
 		{"duplicate", func(r *Registry) {
-			r.NewCounter("dup_total", "")
-			r.NewCounter("dup_total", "")
+			r.CounterFunc("dup_total", "", zero)
+			r.CounterFunc("dup_total", "", zero)
 		}},
-		{"empty name", func(r *Registry) { r.NewCounter("", "") }},
-		{"bad char", func(r *Registry) { r.NewCounter("has space", "") }},
-		{"leading digit", func(r *Registry) { r.NewCounter("9lives", "") }},
-		{"malformed labels", func(r *Registry) { r.NewCounter(`x{a="b"`, "") }},
+		{"empty name", func(r *Registry) { r.CounterFunc("", "", zero) }},
+		{"bad char", func(r *Registry) { r.CounterFunc("has space", "", zero) }},
+		{"leading digit", func(r *Registry) { r.CounterFunc("9lives", "", zero) }},
+		{"malformed labels", func(r *Registry) { r.CounterFunc(`x{a="b"`, "", zero) }},
 		{"empty buckets", func(r *Registry) { r.NewHistogram("h", "", nil) }},
 		{"unsorted buckets", func(r *Registry) { r.NewHistogram("h", "", []float64{5, 1}) }},
 	}
@@ -214,31 +197,16 @@ func TestRegisterPanics(t *testing.T) {
 
 func TestLabeledNamesAccepted(t *testing.T) {
 	r := NewRegistry()
-	r.NewGauge(`fbcache_info{policy="opt"}`, "info")
+	r.GaugeFunc(`fbcache_info{policy="opt"}`, "info", zero)
 	if _, ok := r.Snapshot().Get(`fbcache_info{policy="opt"}`); !ok {
 		t.Fatal("labeled metric missing from snapshot")
 	}
 }
 
 func TestBucketHelpers(t *testing.T) {
-	if got, want := LinearBuckets(1, 2, 3), []float64{1, 3, 5}; !reflect.DeepEqual(got, want) {
-		t.Errorf("LinearBuckets = %v, want %v", got, want)
-	}
 	if got, want := ExpBuckets(1, 10, 3), []float64{1, 10, 100}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ExpBuckets = %v, want %v", got, want)
 	}
-	if b := DefSecondsBuckets(); !sortedFloats(b) {
-		t.Errorf("DefSecondsBuckets not sorted: %v", b)
-	}
-}
-
-func sortedFloats(v []float64) bool {
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestNewExpHistogram(t *testing.T) {

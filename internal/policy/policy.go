@@ -1,7 +1,7 @@
 // Package policy defines the replacement-policy abstraction shared by the
-// simulator, the SRM service and the experiment harness, plus an adapter for
-// the core OptFileBundle policy. Concrete baselines live in the landlord and
-// classic subpackages.
+// simulator, the SRM service and the experiment harness. The paper's
+// OptFileBundle (*core.OptFileBundle) satisfies it directly; concrete
+// baselines live in the landlord and classic subpackages.
 //
 // Every policy is bundle-aware in the sense required by the paper: Admit
 // receives a whole file-bundle, a request-hit needs every file resident, and
@@ -12,27 +12,11 @@ import (
 	"fbcache/internal/bundle"
 	"fbcache/internal/cache"
 	"fbcache/internal/core"
-	"fbcache/internal/obs"
 )
 
-// Result reports the effect of admitting one request. It is structurally
-// identical to core.Result so the adapter is a plain conversion.
-type Result struct {
-	Hit            bool
-	BytesRequested bundle.Size
-	BytesLoaded    bundle.Size
-	FilesLoaded    int
-	FilesEvicted   int
-	Unserviceable  bool
-	// Loaded lists the files fetched by this admission, for timed simulators.
-	// It may alias per-policy scratch: valid until the next Admit on the same
-	// policy. Callers that retain it across admissions must Clone (the SRM
-	// layer does; the simulators consume it within the admission).
-	Loaded bundle.Bundle
-	// Evicted lists the files pushed out, for store-backed deployments.
-	// Same scratch lifetime as Loaded.
-	Evicted bundle.Bundle
-}
+// Result reports the effect of admitting one request. It is core.Result,
+// so *core.OptFileBundle satisfies Policy as it stands.
+type Result = core.Result
 
 // Policy is a bundle-aware cache replacement policy bound to its own cache.
 type Policy interface {
@@ -49,39 +33,14 @@ type Policy interface {
 // sweep points.
 type Factory func(capacity bundle.Size, sizeOf bundle.SizeFunc) Policy
 
-// optAdapter lifts *core.OptFileBundle to the Policy interface.
-type optAdapter struct{ p *core.OptFileBundle }
-
-func (a optAdapter) Name() string        { return a.p.Name() }
-func (a optAdapter) Cache() *cache.Cache { return a.p.Cache() }
-
-// SetTracer forwards to the wrapped policy so installers probing for the
-// optional SetTracer interface (cachesim's installTracer) reach the
-// policy-level emit sites (Admit, SelectRound), not only the cache's
-// Load/Evict stream.
-func (a optAdapter) SetTracer(t obs.Tracer) { a.p.SetTracer(t) }
-
-func (a optAdapter) Admit(b bundle.Bundle) Result {
-	r := a.p.Admit(b)
-	return Result{
-		Hit:            r.Hit,
-		BytesRequested: r.BytesRequested,
-		BytesLoaded:    r.BytesLoaded,
-		FilesLoaded:    r.FilesLoaded,
-		FilesEvicted:   r.FilesEvicted,
-		Unserviceable:  r.Unserviceable,
-		Loaded:         r.Loaded,
-		Evicted:        r.Evicted,
-	}
-}
-
-// WrapOptFileBundle adapts a core.OptFileBundle to the Policy interface.
-func WrapOptFileBundle(p *core.OptFileBundle) Policy { return optAdapter{p} }
+// WrapOptFileBundle returns p: *core.OptFileBundle is a Policy. It is kept
+// only because the bench module calls it; pass p directly elsewhere.
+func WrapOptFileBundle(p *core.OptFileBundle) Policy { return p }
 
 // OptFileBundleFactory returns a Factory producing OptFileBundle policies
 // with the given options.
 func OptFileBundleFactory(opts core.Options) Factory {
 	return func(capacity bundle.Size, sizeOf bundle.SizeFunc) Policy {
-		return WrapOptFileBundle(core.New(capacity, sizeOf, opts))
+		return core.New(capacity, sizeOf, opts)
 	}
 }

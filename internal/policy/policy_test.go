@@ -7,10 +7,27 @@ import (
 	"fbcache/internal/core"
 )
 
+// *core.OptFileBundle is a Policy without an adapter.
+var _ Policy = (*core.OptFileBundle)(nil)
+
 func unit(bundle.FileID) bundle.Size { return 1 }
 
+// TestWrapOptFileBundleIsIdentity pins that WrapOptFileBundle wraps nothing:
+// callers that type-assert the concrete policy (the relative-value queue
+// scheduler needs it) get it back.
+func TestWrapOptFileBundleIsIdentity(t *testing.T) {
+	opt := core.New(10, unit, core.DefaultOptions())
+	got, ok := WrapOptFileBundle(opt).(*core.OptFileBundle)
+	if !ok || got != opt {
+		t.Fatalf("WrapOptFileBundle(p) = %T %p, want p itself (%p)", got, got, opt)
+	}
+}
+
+// The TestAdapter* checks read OptFileBundle's Result through the Policy
+// interface: every field a simulator or the SRM layer consumes must arrive
+// as the policy wrote it.
 func TestAdapterPreservesResultFields(t *testing.T) {
-	p := WrapOptFileBundle(core.New(10, unit, core.Options{}))
+	var p Policy = core.New(4, unit, core.Options{})
 	res := p.Admit(bundle.New(1, 2, 3))
 	if res.Hit {
 		t.Error("cold admit hit")
@@ -25,10 +42,15 @@ func TestAdapterPreservesResultFields(t *testing.T) {
 	if !res.Hit || len(res.Loaded) != 0 {
 		t.Errorf("hit res = %+v", res)
 	}
+	// Two new files with one slot free: exactly one resident file goes.
+	res = p.Admit(bundle.New(4, 5))
+	if res.FilesEvicted != 1 || len(res.Evicted) != 1 || !bundle.New(1, 2, 3).Contains(res.Evicted[0]) {
+		t.Errorf("evicting res = %+v", res)
+	}
 }
 
 func TestAdapterUnserviceable(t *testing.T) {
-	p := WrapOptFileBundle(core.New(2, unit, core.Options{}))
+	var p Policy = core.New(2, unit, core.Options{})
 	res := p.Admit(bundle.New(1, 2, 3))
 	if !res.Unserviceable {
 		t.Errorf("res = %+v", res)
@@ -36,7 +58,7 @@ func TestAdapterUnserviceable(t *testing.T) {
 }
 
 func TestAdapterNameAndCache(t *testing.T) {
-	p := WrapOptFileBundle(core.New(10, unit, core.Options{}))
+	var p Policy = core.New(10, unit, core.Options{})
 	if p.Name() != "optfilebundle" {
 		t.Errorf("Name = %q", p.Name())
 	}
@@ -58,7 +80,7 @@ func TestFactoryIsolation(t *testing.T) {
 func TestBypassPassesThroughOversizedFiles(t *testing.T) {
 	sizes := map[bundle.FileID]bundle.Size{1: 1, 2: 1, 3: 8} // 3 is huge
 	sizeOf := func(f bundle.FileID) bundle.Size { return sizes[f] }
-	inner := WrapOptFileBundle(core.New(10, sizeOf, core.Options{}))
+	inner := core.New(10, sizeOf, core.Options{})
 	p := NewBypass(inner, sizeOf, 0.5) // files > 5 bypass
 
 	res := p.Admit(bundle.New(1, 2, 3))
@@ -101,7 +123,7 @@ func TestBypassProtectsWorkingSet(t *testing.T) {
 	sizes := map[bundle.FileID]bundle.Size{1: 2, 2: 2, 9: 9}
 	sizeOf := func(f bundle.FileID) bundle.Size { return sizes[f] }
 
-	plain := WrapOptFileBundle(core.New(10, sizeOf, core.Options{}))
+	plain := core.New(10, sizeOf, core.Options{})
 	for i := 0; i < 5; i++ {
 		plain.Admit(bundle.New(1, 2))
 	}
@@ -110,7 +132,7 @@ func TestBypassProtectsWorkingSet(t *testing.T) {
 		t.Skip("inner policy kept the pair anyway; scenario needs tuning")
 	}
 
-	guarded := NewBypass(WrapOptFileBundle(core.New(10, sizeOf, core.Options{})), sizeOf, 0.5)
+	guarded := NewBypass(core.New(10, sizeOf, core.Options{}), sizeOf, 0.5)
 	for i := 0; i < 5; i++ {
 		guarded.Admit(bundle.New(1, 2))
 	}
@@ -122,7 +144,7 @@ func TestBypassProtectsWorkingSet(t *testing.T) {
 
 func TestBypassPanics(t *testing.T) {
 	sizeOf := func(bundle.FileID) bundle.Size { return 1 }
-	inner := WrapOptFileBundle(core.New(10, sizeOf, core.Options{}))
+	inner := core.New(10, sizeOf, core.Options{})
 	for name, fn := range map[string]func(){
 		"nil inner": func() { NewBypass(nil, sizeOf, 0.5) },
 		"bad frac":  func() { NewBypass(inner, sizeOf, 0) },

@@ -9,7 +9,6 @@ import (
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
 	"fbcache/internal/obs"
-	"fbcache/internal/policy"
 	"fbcache/internal/workload"
 )
 
@@ -54,8 +53,7 @@ func TestGoldenTrace(t *testing.T) {
 		var buf bytes.Buffer
 		sink := obs.NewJSONLSink(&buf)
 		opt.SetTracer(sink)
-		p := policy.WrapOptFileBundle(opt)
-		if _, err := Run(w, p, Options{Tracer: sink}); err != nil {
+		if _, err := Run(w, opt, Options{Tracer: sink}); err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.Err(); err != nil {

@@ -140,9 +140,8 @@ func TestQueuedRunServesEverything(t *testing.T) {
 	w := smallWorkload(t, workload.Zipf, 1000)
 	sizeOf := w.Catalog.SizeFunc()
 	opt := core.New(w.Spec.CacheSize, sizeOf, core.Options{})
-	p := policy.WrapOptFileBundle(opt)
 	sched := queue.ByScore("relvalue", opt.RelativeValue)
-	col, err := Run(w, p, Options{QueueLength: 25, Scheduler: sched})
+	col, err := Run(w, opt, Options{QueueLength: 25, Scheduler: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +156,7 @@ func TestQueueingHelpsZipf(t *testing.T) {
 	sizeOf := w.Catalog.SizeFunc()
 	run := func(q int) float64 {
 		opt := core.New(w.Spec.CacheSize, sizeOf, core.Options{})
-		p := policy.WrapOptFileBundle(opt)
-		col, err := Run(w, p, Options{QueueLength: q, Scheduler: queue.ByScore("rv", opt.RelativeValue)})
+		col, err := Run(w, opt, Options{QueueLength: q, Scheduler: queue.ByScore("rv", opt.RelativeValue)})
 		if err != nil {
 			t.Fatal(err)
 		}

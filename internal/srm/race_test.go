@@ -7,7 +7,6 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
-	"fbcache/internal/policy"
 )
 
 // TestConcurrentStageRelease hammers one SRM from many goroutines with
@@ -69,7 +68,7 @@ func TestConcurrentStageNames(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		cat.Add(fmt.Sprintf("f%d", i), 10)
 	}
-	pol := policy.WrapOptFileBundle(core.New(1000, cat.SizeFunc(), core.Options{}))
+	pol := core.New(1000, cat.SizeFunc(), core.Options{})
 	s2 := New(pol, cat)
 	defer s2.Close()
 

@@ -8,13 +8,12 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
-	"fbcache/internal/policy"
 )
 
 func startServer(t *testing.T, capacity bundle.Size) (*Server, *SRM) {
 	t.Helper()
 	cat := bundle.NewCatalog()
-	pol := policy.WrapOptFileBundle(core.New(capacity, cat.SizeFunc(), core.Options{}))
+	pol := core.New(capacity, cat.SizeFunc(), core.Options{})
 	s := New(pol, cat)
 	srv, err := Serve(s, "127.0.0.1:0")
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"fbcache/internal/core"
 	"fbcache/internal/obs"
 	"fbcache/internal/obs/span"
-	"fbcache/internal/policy"
 )
 
 // startSpanServer is startServer with a flight recorder on the SRM,
@@ -20,7 +19,7 @@ import (
 func startSpanServer(t *testing.T, capacity bundle.Size, o span.Options) (*Server, *SRM, *span.Recorder) {
 	t.Helper()
 	cat := bundle.NewCatalog()
-	pol := policy.WrapOptFileBundle(core.New(capacity, cat.SizeFunc(), core.Options{}))
+	pol := core.New(capacity, cat.SizeFunc(), core.Options{})
 	rec := span.New(o)
 	s := New(pol, cat).WithSpans(rec)
 	srv, err := Serve(s, "127.0.0.1:0")

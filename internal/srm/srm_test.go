@@ -11,7 +11,6 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
-	"fbcache/internal/policy"
 	"fbcache/internal/store"
 )
 
@@ -20,7 +19,7 @@ func newTestSRM(capacity bundle.Size, fileSizes ...bundle.Size) (*SRM, *bundle.C
 	for _, s := range fileSizes {
 		cat.AddAnonymous(s)
 	}
-	pol := policy.WrapOptFileBundle(core.New(capacity, cat.SizeFunc(), core.Options{}))
+	pol := core.New(capacity, cat.SizeFunc(), core.Options{})
 	return New(pol, cat), cat
 }
 
@@ -134,7 +133,7 @@ func TestConcurrentStaging(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		cat.AddAnonymous(5)
 	}
-	pol := policy.WrapOptFileBundle(core.New(200, cat.SizeFunc(), core.Options{}))
+	pol := core.New(200, cat.SizeFunc(), core.Options{})
 	s := New(pol, cat)
 
 	var wg sync.WaitGroup
@@ -268,7 +267,7 @@ func TestWithStoreMirrorsResidency(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cat.AddAnonymous(1)
 	}
-	pol := policy.WrapOptFileBundle(core.New(2, cat.SizeFunc(), core.Options{}))
+	pol := core.New(2, cat.SizeFunc(), core.Options{})
 	st, err := store.New(t.TempDir(), store.FetchFunc(func(f bundle.FileID) (io.ReadCloser, error) {
 		return io.NopCloser(strings.NewReader(fmt.Sprintf("payload-%d", f))), nil
 	}))

@@ -55,7 +55,7 @@ func newStoreSRM(t *testing.T, capacity bundle.Size, fileSizes ...bundle.Size) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := policy.WrapOptFileBundle(core.New(capacity, cat.SizeFunc(), core.Options{}))
+	pol := core.New(capacity, cat.SizeFunc(), core.Options{})
 	return New(pol, cat).WithStore(st), st, src, pol
 }
 
