@@ -79,6 +79,10 @@ bench:
 # steady-state replication epoch (BenchmarkReplan/steady: one planner
 # reused across epochs, budget full) must stay at or below 50 allocs/op;
 # what it does allocate is the caller-owned Epoch slices and catalog growth.
+# srmd's wire codec is gated exactly: encoding a six-file stage request or a
+# stage response allocates nothing, decoding the stage request allocates
+# one string per file name (6), and decoding a release request or a stage
+# response one for the token.
 # -benchtime=100x keeps it fast enough to gate CI; ns/op on shared machines
 # is too noisy to gate, so compare it by eye or with benchstat on a quiet
 # machine.
@@ -101,6 +105,14 @@ bench-guard:
 	awk '/^BenchmarkReplan\/steady/ { print; n++; allocs=$$(NF-1) } \
 	     END { if (n != 1) { print "FAIL: BenchmarkReplan/steady line missing"; exit 1 } \
 	           if (allocs > 50) { print "FAIL: a steady-state replan epoch makes " allocs " allocs/op, gate is 50"; exit 1 } }' bench-guard.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkWire' -benchmem -benchtime=100x ./internal/srm/ >> bench-guard.txt
+	awk '/^BenchmarkWire\// { print; name=$$1; sub(/-[0-9]+$$/, "", name); allocs[name]=$$(NF-1); n++ } \
+	     END { want["encode/stage_request"]=0; want["encode/stage_response"]=0; want["decode/stage_request"]=6; \
+	           want["decode/release_request"]=1; want["decode/stage_response"]=1; \
+	           for (k in want) { b = "BenchmarkWire/" k; \
+	             if (!(b in allocs)) { print "FAIL: " b " line missing"; exit 1 } \
+	             if (allocs[b] != want[k]) { print "FAIL: " b " makes " allocs[b] " allocs/op, want " want[k]; exit 1 } } \
+	           if (n != 5) { print "FAIL: want 5 BenchmarkWire lines, got " n; exit 1 } }' bench-guard.txt
 
 # One benchmark pipeline per checked-in BENCH file: the go-bench run piped
 # into benchjson, whose -require flags make a run that silently lost an
@@ -169,12 +181,16 @@ trace-check:
 # checked-in corpora (testdata/fuzz/...). The Landlord target runs with
 # invariants armed so every generated input also probes the in-line checks.
 # The replicate target holds the dense-table re-planner to its map-and-sort
-# reference.
+# reference. The two wire targets hold srmd's codec to encoding/json: the
+# encoders byte for byte, the decoder to never accepting a line it would
+# decode differently.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSelectFastMatchesReference -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzSelectHalfBound -fuzztime $(FUZZTIME) ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzLandlordInvariants -fuzztime $(FUZZTIME) -tags fbinvariant ./internal/policy/landlord/
 	$(GO) test -run '^$$' -fuzz FuzzReplanMatchesReference -fuzztime $(FUZZTIME) ./internal/replicate/
+	$(GO) test -run '^$$' -fuzz FuzzWireEncodeMatchesJSON -fuzztime $(FUZZTIME) ./internal/srm/
+	$(GO) test -run '^$$' -fuzz FuzzWireDecodeNeverMisparses -fuzztime $(FUZZTIME) ./internal/srm/
 
 # soak replays the fault-injection scenarios with invariants armed: the
 # multi-policy fault soak, the churn+correlated generated-scenario soak with

@@ -66,6 +66,14 @@ var manifest = map[string][]Contract{
 	"fbcache/internal/policy/landlord": {
 		{Func: "(*Landlord).Credit", Directives: []string{"noescape", "inline"}},
 	},
+	// The wire codec runs on every srmd request and response: the string
+	// escape of each encoded name and token, and the decoder's walk of each
+	// string value, must not put their arguments on the heap (DESIGN.md
+	// §11).
+	"fbcache/internal/srm": {
+		{Func: "appendString", Directives: []string{"noescape"}},
+		{Func: "(*scanner).text", Directives: []string{"noescape"}},
+	},
 	// The event loop's queue operations run once per simulated event; the
 	// typed heap exists so they stay boxing-free and bounds-check-free.
 	"fbcache/internal/simulate": {

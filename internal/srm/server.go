@@ -1,12 +1,11 @@
 package srm
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -14,17 +13,32 @@ import (
 	"fbcache/internal/obs/span"
 )
 
-// The wire protocol is newline-delimited JSON over TCP. Each request is one
-// object; each response is one object. Operations:
+// The wire protocol is newline-delimited JSON over TCP: each request is one
+// line holding one object, and each response is one line holding one
+// object. Operations:
 //
 //	{"op":"addfile","name":"evt-energy","size":1048576}
-//	{"op":"stage","files":["evt-energy","evt-momentum"]}   -> {"ok":true,"token":"t1","hit":false,...}
+//	{"op":"stage","files":["evt-energy","evt-momentum"]}   -> {"ok":true,"token":"t1","bytes_loaded":2097152}
 //	{"op":"release","token":"t1"}
 //	{"op":"stats"}
 //
-// Tokens are per-connection; dropping the connection releases all bundles it
-// still holds (lease semantics), so a crashed client cannot pin the cache
-// forever.
+// Both ends write exactly what encoding/json's Encoder writes for Request
+// and Response (codec.go), so any JSON tool can speak the protocol, and a
+// hand-typed line may carry whitespace and its members in any order. A
+// line is at most 1 MiB, its '\n' included; blank lines are skipped. The
+// server closes the connection on a line it does not accept:
+//
+//   - a longer line, or one cut short by EOF;
+//   - anything but exactly one object, or an object split across lines;
+//   - a key that is not one of the Request fields' JSON names exactly
+//     (encoding/json would fold "OP" onto "op"; this protocol does not),
+//     or a key written with an escape;
+//   - null, or a value of the wrong type: an integer with a fraction or
+//     exponent, or one that overflows its field, is rejected.
+//
+// Tokens are per-connection; dropping the connection, for whatever reason,
+// releases all bundles it still holds (lease semantics), so a crashed or
+// misbehaving client cannot pin the cache forever.
 
 // Request is one protocol request.
 type Request struct {
@@ -223,12 +237,18 @@ func (srv *Server) handle(conn net.Conn) {
 		}
 	}()
 
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
+	in := newWireReader(conn)
+	// One Request is reused for every line, and req.Files aliases the
+	// reader's backing array, which the next line overwrites. That is safe
+	// only because dispatch hands Files to StageNamesCtx, which maps the
+	// names to FileIDs and keeps nothing; the strings themselves are fresh.
+	var req Request
+	var out []byte
 	rec := srv.srm.Spans()
 	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		// A malformed or oversized line ends the connection, as does EOF;
+		// the deferred release drops its leases.
+		if err := in.readRequest(&req); err != nil {
 			return
 		}
 		// Every wire request gets a root span: the wire context (if the
@@ -240,7 +260,11 @@ func (srv *Server) handle(conn net.Conn) {
 		resp, ec := srv.dispatch(&req, leases, &nextToken, &root)
 		resp.Req = uint64(root.Req())
 		root.Finish(ec)
-		if err := enc.Encode(resp); err != nil {
+		var err error
+		if out, err = appendResponse(out[:0], &resp); err != nil {
+			return
+		}
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
@@ -308,7 +332,8 @@ func (srv *Server) dispatch(req *Request, leases map[string]Release, nextToken *
 			return resp, errCode(err)
 		}
 		*nextToken++
-		token := fmt.Sprintf("t%d", *nextToken)
+		var buf [24]byte
+		token := string(strconv.AppendInt(append(buf[:0], 't'), int64(*nextToken), 10))
 		leases[token] = rel
 		return Response{OK: true, Token: token, Hit: res.Hit, BytesLoaded: res.BytesLoaded}, span.ErrNone
 
@@ -350,8 +375,8 @@ type Client struct {
 	// WithSpans, which must precede concurrent use (like srm.WithSpans).
 	rec *span.Recorder
 	mu  sync.Mutex
-	dec *json.Decoder //fbvet:guardedby mu
-	enc *json.Encoder //fbvet:guardedby mu
+	in  *wireReader //fbvet:guardedby mu
+	out []byte      //fbvet:guardedby mu — the request line being sent
 }
 
 // WithSpans attaches a flight recorder to the client: every round trip
@@ -368,11 +393,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("srm: dial: %w", err)
 	}
-	return &Client{
-		conn: conn,
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-		enc:  json.NewEncoder(conn),
-	}, nil
+	return &Client{conn: conn, in: newWireReader(conn)}, nil
 }
 
 // Close drops the connection, releasing all leases held through it.
@@ -438,11 +459,12 @@ func isRetryable(err error) bool {
 func (c *Client) doRoundTrip(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
+	c.out = appendRequest(c.out[:0], &req)
+	if _, err := c.conn.Write(c.out); err != nil {
 		return Response{}, fmt.Errorf("srm: send: %w", err)
 	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.in.readResponse(&resp); err != nil {
 		return Response{}, fmt.Errorf("srm: recv: %w", err)
 	}
 	if resp.Error != "" {

@@ -1,6 +1,10 @@
 package srm
 
 import (
+	"bytes"
+	"errors"
+	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -102,6 +106,9 @@ func TestDisconnectReleasesLeases(t *testing.T) {
 	if err := c.AddFile("x", 60); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.AddFile("y", 30); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, _, err := c.Stage("x"); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +116,23 @@ func TestDisconnectReleasesLeases(t *testing.T) {
 		t.Fatalf("pinned = %d", st.PinnedBytes)
 	}
 	c.Close()
-	// The server releases on disconnect asynchronously.
+	waitUnpinned(t, s)
+
+	// A client that holds a lease and drops mid-request: half a stage line,
+	// then close. The partial line is discarded and the lease released.
+	raw := rawStage(t, srv, "y")
+	if _, err := raw.Write([]byte(`{"op":"stage","fi`)); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+	waitUnpinned(t, s)
+	checkServed(t, srv)
+}
+
+// waitUnpinned waits for the server to release every lease, which it does
+// asynchronously when a connection ends.
+func waitUnpinned(t *testing.T, s *SRM) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if s.Stats().PinnedBytes == 0 {
@@ -117,7 +140,152 @@ func TestDisconnectReleasesLeases(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("leases not released on disconnect: %+v", s.Stats())
+	t.Fatalf("leases not released: %+v", s.Stats())
+}
+
+// rawStage dials srv without the client codec and stages files on the
+// new connection, holding the lease.
+func rawStage(t *testing.T, srv *Server, files ...string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	line := appendRequest(nil, &Request{Op: "stage", Files: files})
+	if _, err := conn.Write(line); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := newWireReader(conn).readResponse(&resp); err != nil || !resp.OK {
+		t.Fatalf("raw stage: %+v, %v", resp, err)
+	}
+	return conn
+}
+
+// checkServed requires a fresh, well-behaved client to be served.
+func checkServed(t *testing.T, srv *Server) {
+	t.Helper()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("well-behaved client not served: %v", err)
+	}
+}
+
+// waitClosed requires the server to close conn within the timeout without
+// having answered it.
+func waitClosed(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var buf [512]byte
+	n, err := conn.Read(buf[:])
+	var ne net.Error
+	switch {
+	case n > 0:
+		t.Fatalf("server answered a rejected line: %q", buf[:n])
+	case errors.As(err, &ne) && ne.Timeout():
+		t.Fatal("server kept the connection open")
+	}
+}
+
+// An oversized line closes its connection once it passes the 1 MiB bound,
+// instead of being buffered for as long as the client keeps sending.
+func TestOversizedLineClosesConnection(t *testing.T) {
+	srv, s := startServer(t, 100)
+	admin, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	if err := admin.AddFile("x", 60); err != nil {
+		t.Fatal(err)
+	}
+	conn := rawStage(t, srv, "x")
+	// A valid JSON prefix, so that only the bound, not a syntax error,
+	// can end the line.
+	if _, err := conn.Write([]byte(`{"op":"addfile","name":"`)); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		chunk := bytes.Repeat([]byte("a"), 64<<10)
+		for sent := 0; sent < 4<<20; sent += len(chunk) {
+			if _, err := conn.Write(chunk); err != nil {
+				return // the server closed the connection
+			}
+		}
+	}()
+	waitClosed(t, conn)
+	waitUnpinned(t, s)
+	checkServed(t, srv)
+}
+
+// A line the codec rejects closes its connection and releases its leases;
+// other clients are unaffected.
+func TestRejectedLinesCloseConnection(t *testing.T) {
+	srv, s := startServer(t, 100)
+	admin, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	if err := admin.AddFile("x", 60); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"garbage\n", `{"OP":"stats"}` + "\n", `{"op":"stats","extra":1}` + "\n"} {
+		conn := rawStage(t, srv, "x")
+		if _, err := conn.Write([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+		waitClosed(t, conn)
+		waitUnpinned(t, s)
+		if _, err := admin.Stats(); err != nil {
+			t.Fatalf("after %q: other client: %v", line, err)
+		}
+	}
+	checkServed(t, srv)
+}
+
+// Stats over the wire equal the server's own snapshot, field for field.
+func TestStatsOverWireMatchesSRM(t *testing.T) {
+	srv, s := startServer(t, 100)
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for name, size := range map[string]bundle.Size{"a": 10, "b": 20, "c": 30, "d": 70} {
+		if err := c.AddFile(name, size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range [][]string{{"a", "b"}, {"a", "b"}, {"c"}, {"d"}, {"a"}} {
+		token, _, _, err := c.Stage(b...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Release(token); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, _, err := c.Stage("c"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := s.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("wire stats %+v, server %+v", got, want)
+	}
+	if got.Jobs != 6 || got.HitRatio == 0 || got.ActiveJobs != 1 {
+		t.Errorf("stats not exercised: %+v", got)
+	}
 }
 
 func TestConcurrentClients(t *testing.T) {
