@@ -49,6 +49,7 @@ var manifest = map[string][]Contract{
 		{Func: "(*Cache).SizeOf", Directives: []string{"noescape", "inline"}},
 		{Func: "(*Cache).Supports", Directives: []string{"noescape", "inline", "nobce"}},
 		{Func: "(*Cache).Pinned", Directives: []string{"noescape", "inline"}},
+		{Func: "(*Cache).ResidentAppend", Directives: []string{"noescape", "nobce"}},
 	},
 	// The replica catalog's per-candidate reads in every replan epoch: the
 	// local-copy test and the one ranking each candidate gets (DESIGN.md

@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/invariant"
@@ -29,11 +30,18 @@ type Cache struct {
 	// probes on every admission hot path (Supports, Contains, Pinned,
 	// MissingAppend) into bounds-checked loads instead of map lookups, and
 	// makes resident listings naturally ascending. count tracks the number
-	// of resident files. Both tables grow together on first sight of a
-	// larger FileID.
+	// of resident files. size grows on first sight of a larger FileID; pins
+	// grows to match only when a file is pinned, so policies and simulators
+	// that never pin never allocate it, and a slot past its end reads 0.
 	size  []bundle.Size
 	pins  []int32
 	count int
+
+	// resident is the same residency as a bitset: bit f&63 of word f>>6 is
+	// set iff size[f] >= 0. Listings and per-miss set algebra walk it a
+	// word at a time, so their cost follows the resident count and the
+	// catalog size over 64, not the catalog size. It grows with size.
+	resident []uint64
 
 	// Cumulative counters since New or ResetCounters.
 	bytesLoaded  bundle.Size
@@ -179,6 +187,7 @@ func (c *Cache) Insert(f bundle.FileID, size bundle.Size) error {
 		return fmt.Errorf("cache: insert %d: need %d bytes, only %d free", f, size, c.Free())
 	}
 	c.size[i] = size
+	c.resident[uint(i)>>6] |= 1 << (uint(i) & 63)
 	c.count++
 	c.used += size
 	c.bytesLoaded += size
@@ -201,10 +210,11 @@ func (c *Cache) Evict(f bundle.FileID) error {
 		return fmt.Errorf("cache: evict %d: not resident", f)
 	}
 	size := c.size[i]
-	if c.pins[i] > 0 {
+	if i < len(c.pins) && c.pins[i] > 0 {
 		return fmt.Errorf("cache: evict %d: pinned %d times", f, c.pins[i])
 	}
 	c.size[i] = -1
+	c.resident[uint(i)>>6] &^= 1 << (uint(i) & 63)
 	c.count--
 	c.used -= size
 	c.bytesEvicted += size
@@ -227,6 +237,7 @@ func (c *Cache) Pin(f bundle.FileID) error {
 	if i >= len(c.size) || c.size[i] < 0 {
 		return fmt.Errorf("cache: pin %d: not resident", f)
 	}
+	c.growPins()
 	c.pins[i]++
 	return nil
 }
@@ -256,6 +267,7 @@ func (c *Cache) PinBundle(b bundle.Bundle) error {
 	if !c.Supports(b) {
 		return fmt.Errorf("cache: pin bundle %v: not fully resident", b)
 	}
+	c.growPins()
 	for _, f := range b {
 		c.pins[int(f)]++
 	}
@@ -277,24 +289,35 @@ func (c *Cache) Resident() bundle.Bundle {
 	return c.ResidentAppend(make(bundle.Bundle, 0, c.count))
 }
 
-// ResidentAppend appends the resident file IDs to dst and returns the
-// extended slice sorted ascending as a whole — the allocation-free form of
-// Resident for per-admission callers (eviction scans) that reuse a scratch
-// slice. Pass an empty dst (typically scratch[:0]); prior contents are
-// sorted together with the appended IDs.
+// ResidentAppend appends the resident file IDs to dst in ascending order
+// and returns the extended slice — the allocation-free form of Resident for
+// per-admission callers (eviction scans) that reuse a scratch slice. Prior
+// contents of dst are kept as they are, ahead of the appended IDs; pass an
+// empty dst (typically scratch[:0]) for a sorted listing.
+//
+//fbvet:noescape
+//fbvet:nobce range over the residency words
 func (c *Cache) ResidentAppend(dst bundle.Bundle) bundle.Bundle {
-	// The dense table walks in ascending FileID order, so the listing is
-	// sorted by construction — no sort pass, no comparator allocation.
-	for i, s := range c.size {
-		if s >= 0 {
-			dst = append(dst, bundle.FileID(i))
+	// The bitset walks in ascending FileID order, so the listing is sorted
+	// by construction, and empty words cost one test each.
+	for w, word := range c.resident {
+		base := bundle.FileID(w) << 6
+		for word != 0 {
+			dst = append(dst, base+bundle.FileID(bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
 	return dst
 }
 
-// grow widens the dense tables to cover f and returns int(f). New size slots
-// start at -1 (absent); new pin slots at 0.
+// ResidentWords exposes the residency bitset: bit f&63 of word f>>6 is set
+// iff file f is resident, and IDs past the last word are absent. The slice
+// aliases the cache's own table — callers must not modify it, and it is
+// valid only until the next Insert or Evict.
+func (c *Cache) ResidentWords() []uint64 { return c.resident }
+
+// grow widens the residency tables to cover f and returns int(f). New size
+// slots start at -1 (absent).
 func (c *Cache) grow(f bundle.FileID) int {
 	i := int(f)
 	if i >= len(c.size) {
@@ -304,11 +327,23 @@ func (c *Cache) grow(f bundle.FileID) int {
 			gs[j] = -1
 		}
 		c.size = gs
-		gp := make([]int32, n)
+		// The words change length only every 64 IDs, so most growths of
+		// the size table leave them as they are.
+		if w := (n + 63) >> 6; w > len(c.resident) {
+			c.resident = append(c.resident, make([]uint64, w-len(c.resident))...)
+		}
+	}
+	return i
+}
+
+// growPins widens the pin table to the size table's length; new slots
+// start at 0.
+func (c *Cache) growPins() {
+	if len(c.pins) < len(c.size) {
+		gp := make([]int32, len(c.size))
 		copy(gp, c.pins)
 		c.pins = gp
 	}
-	return i
 }
 
 // Counters reports cumulative traffic since construction or ResetCounters.
@@ -322,7 +357,8 @@ func (c *Cache) ResetCounters() {
 }
 
 // CheckInvariants verifies internal consistency (used == Σ sizes, pins only on
-// resident files, used ≤ capacity). Tests and the simulator's paranoid mode
+// resident files, used ≤ capacity, the residency bitset agreeing with the
+// size table). Tests and the simulator's paranoid mode
 // call this; it returns a descriptive error on the first violation. The dense
 // tables walk in ascending FileID order, so the violation reported — and
 // therefore any test output built from it — is deterministic.
@@ -340,6 +376,23 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if sum != c.used {
 		return fmt.Errorf("cache: used=%d but sizes sum to %d", c.used, sum)
+	}
+	if len(c.resident) != (len(c.size)+63)>>6 {
+		return fmt.Errorf("cache: %d residency words for %d size slots", len(c.resident), len(c.size))
+	}
+	// With every in-table bit matching its slot, a popcount equal to count
+	// also rules out stray bits past the table's end.
+	for i, s := range c.size {
+		if set := c.resident[i>>6]&(1<<(uint(i)&63)) != 0; set != (s >= 0) {
+			return fmt.Errorf("cache: file %d residency bit %t but size %d", i, set, s)
+		}
+	}
+	pop := 0
+	for _, word := range c.resident {
+		pop += bits.OnesCount64(word)
+	}
+	if pop != c.count {
+		return fmt.Errorf("cache: count=%d but %d residency bits set", c.count, pop)
 	}
 	if c.used > c.capacity {
 		return fmt.Errorf("cache: used %d exceeds capacity %d", c.used, c.capacity)

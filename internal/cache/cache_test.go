@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -227,6 +229,78 @@ func TestQuickInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResidencyBitsetMatchesSizeTable drives random Inserts, Evicts and
+// pins over IDs on both sides of word boundaries (0, 63, 64, 127, 128) and
+// one far ID whose first sight grows every table at once. After each step
+// ResidentAppend — from an empty and from a non-empty dst — must list
+// exactly what a walk of the size table lists, and CheckInvariants must
+// agree that each bit matches its size slot and the popcount matches Len.
+func TestResidencyBitsetMatchesSizeTable(t *testing.T) {
+	ids := []bundle.FileID{0, 1, 62, 63, 64, 65, 127, 128, 129, 191, 192, 5000}
+	rng := rand.New(rand.NewSource(3))
+	for trial := range 20 {
+		c := New(1 << 20)
+		for step := range 400 {
+			f := ids[rng.Intn(len(ids))]
+			switch rng.Intn(5) {
+			case 0, 1:
+				_ = c.Insert(f, bundle.Size(rng.Intn(4))) // zero sizes are resident too
+			case 2:
+				_ = c.Evict(f)
+			case 3:
+				_ = c.Pin(f)
+			case 4:
+				_ = c.Unpin(f)
+			}
+			var want bundle.Bundle
+			for i, sz := range c.size {
+				if sz >= 0 {
+					want = append(want, bundle.FileID(i))
+				}
+			}
+			if got := c.ResidentAppend(nil); !slices.Equal(got, want) {
+				t.Fatalf("trial %d step %d: ResidentAppend = %v, size table lists %v", trial, step, got, want)
+			}
+			prefix := bundle.Bundle{9999, 1}
+			if got := c.ResidentAppend(slices.Clone(prefix)); !slices.Equal(got, append(prefix, want...)) {
+				t.Fatalf("trial %d step %d: ResidentAppend after a prefix = %v", trial, step, got)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesResidencyBitDrift corrupts the bitset directly:
+// a bit set for an absent file, a bit cleared for a resident one, and a bit
+// past the size table's end must each fail the audit.
+func TestCheckInvariantsCatchesResidencyBitDrift(t *testing.T) {
+	c := New(100)
+	for _, f := range []bundle.FileID{3, 64} {
+		if err := c.Insert(f, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c.resident[0] |= 1 << 5 // file 5 is absent
+	if err := c.CheckInvariants(); err == nil {
+		t.Error("a residency bit for an absent file passed the audit")
+	}
+	c.resident[0] &^= 1 << 5
+	c.resident[1] &^= 1 // file 64 is resident
+	if err := c.CheckInvariants(); err == nil {
+		t.Error("a cleared residency bit for a resident file passed the audit")
+	}
+	c.resident[1] |= 1
+	c.resident[len(c.resident)-1] |= 1 << 63 // past the size table's end
+	if err := c.CheckInvariants(); err == nil {
+		t.Error("a residency bit past the size table passed the audit")
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"fbcache/internal/bundle"
@@ -100,6 +101,7 @@ type OptFileBundle struct {
 	missScratch     bundle.Bundle
 	loadedScratch   []bundle.FileID
 	keepScratch     fileSet
+	viewScratch     []uint64
 	residentScratch bundle.Bundle
 	evictScratch    bundle.Bundle
 
@@ -279,12 +281,22 @@ func (p *OptFileBundle) replace(b bundle.Bundle, needed bundle.Size) {
 		keep.add(f)
 	}
 
-	p.residentScratch = p.cache.ResidentAppend(p.residentScratch[:0])
-	p.evictScratch = p.evictScratch[:0]
-	evictable := p.evictScratch
-	for _, f := range p.residentScratch {
-		if !keep.has(f) && !p.cache.Pinned(f) {
-			evictable = append(evictable, f)
+	// Evictable: resident and outside the keep-set, computed a word at a
+	// time as resident &^ keep; only the files that survive take the pin
+	// probe. The words walk in ascending FileID order.
+	evictable := p.evictScratch[:0]
+	kw := keep.words
+	for w, word := range p.cache.ResidentWords() {
+		if w < len(kw) {
+			word &^= kw[w]
+		}
+		base := bundle.FileID(w) << 6
+		for word != 0 {
+			f := base + bundle.FileID(bits.TrailingZeros64(word))
+			word &= word - 1
+			if !p.cache.Pinned(f) {
+				evictable = append(evictable, f)
+			}
 		}
 	}
 	p.evictScratch = evictable
@@ -339,7 +351,8 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
 		// §5.3: offer only the requests the cache currently supports (plus
 		// whatever overlaps the incoming bundle, which is Free anyway).
 		// Degrees and values still come from the global history.
-		entries = residentEntries(p.cache, entries, in)
+		p.viewScratch = residentView(p.viewScratch, p.cache, in)
+		entries = residentEntries(p.viewScratch, entries)
 	}
 	cands := p.candScratch[:0]
 	for _, e := range entries {
@@ -376,21 +389,36 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
 	return sel
 }
 
+// residentView returns, in dst's backing array, the words of the set
+// resident(c) ∪ in: the cache's residency bitset with in's touched words
+// OR-ed over it. It costs the residency words plus |in|'s words, and lets
+// residentEntries test each file with one bit probe.
+func residentView(dst []uint64, c *cache.Cache, in *fileSet) []uint64 {
+	dst = append(dst[:0], c.ResidentWords()...)
+	for _, w := range in.touched {
+		if n := int(w) + 1; n > len(dst) {
+			dst = append(dst, make([]uint64, n-len(dst))...)
+		}
+		dst[w] |= in.words[w]
+	}
+	return dst
+}
+
 // residentEntries filters entries in place, keeping — in order — those
-// whose every file is in the incoming bundle (stamped into in) or resident
-// in c: the §5.3 cache-resident candidate set, c.Supports(e.Bundle.Minus(b))
-// for each entry without materializing the difference. It runs once per
-// history entry on every miss, so it stays allocation- and
-// bounds-check-free.
+// whose every file is set in view, the words of resident ∪ incoming bundle
+// that residentView builds: the §5.3 cache-resident candidate set,
+// c.Supports(e.Bundle.Minus(b)) for each entry without materializing the
+// difference. It runs once per history entry on every miss, so it stays
+// allocation- and bounds-check-free.
 //
 //fbvet:noescape
-//fbvet:nobce single-slice walks; membership tests are length-guarded
-func residentEntries(c *cache.Cache, entries []*history.Entry, in *fileSet) []*history.Entry {
+//fbvet:nobce single-slice walks; the word index is length-guarded
+func residentEntries(view []uint64, entries []*history.Entry) []*history.Entry {
 	filtered := entries[:0]
 next:
 	for _, e := range entries {
 		for _, f := range e.Bundle {
-			if !in.has(f) && !c.Contains(f) {
+			if w := uint(f) >> 6; w >= uint(len(view)) || view[w]&(1<<(uint(f)&63)) == 0 {
 				continue next
 			}
 		}

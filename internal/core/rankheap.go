@@ -11,6 +11,8 @@ package core
 // disagree with each other and silently break the heap invariant.
 
 import (
+	"math/bits"
+
 	"fbcache/internal/bundle"
 	"fbcache/internal/invariant"
 )
@@ -275,60 +277,72 @@ func (h *rankHeap) checkOrder(st []candState) {
 	}
 }
 
-// fileSet is an epoch-stamped membership set over dense FileIDs: add stamps
-// the file with the current generation, reset bumps the generation so the
-// whole set empties in O(1). It replaces the per-run skip/chosen maps of the
-// selection scratch — no hashing on the per-file hot path, no per-run
-// clearing cost, no allocation once the stamp table has grown to the file
-// universe.
+// fileSet is a membership set over dense FileIDs, kept as a bitset: bit
+// f&63 of word f>>6 is set iff f is in the set. It replaces the per-run
+// skip/chosen maps of the selection scratch — no hashing on the per-file hot
+// path, no allocation once the words have grown to the file universe. add
+// records each word it turns non-zero in touched, so reset clears only those
+// words and costs what the round added, not the universe; hi is one past the
+// highest touched word, where appendMembers stops.
 type fileSet struct {
-	stamp []uint32
-	gen   uint32
+	words   []uint64
+	touched []uint32
+	hi      int
 }
 
-// reset empties the set by advancing the generation; the stamp table is
-// scrubbed only on the (once per 2^32 resets) generation wrap.
+// reset empties the set, zeroing only the words touched since the last
+// reset.
 func (s *fileSet) reset() {
-	s.gen++
-	if s.gen == 0 {
-		clear(s.stamp)
-		s.gen = 1
+	for _, w := range s.touched {
+		s.words[w] = 0
 	}
+	s.touched = s.touched[:0]
+	s.hi = 0
 }
 
-// add inserts f, growing the stamp table on first sight of a larger ID.
+// add inserts f, growing the words on first sight of a larger ID.
 func (s *fileSet) add(f bundle.FileID) {
-	i := int(f)
-	if i >= len(s.stamp) {
-		grown := make([]uint32, max(i+1, 2*len(s.stamp)))
-		copy(grown, s.stamp)
-		s.stamp = grown
+	w := uint(f) >> 6
+	if w >= uint(len(s.words)) {
+		grown := make([]uint64, max(w+1, 2*uint(len(s.words))))
+		copy(grown, s.words)
+		s.words = grown
 	}
-	s.stamp[i] = s.gen
+	if s.words[w] == 0 {
+		s.touched = append(s.touched, uint32(w))
+		s.hi = max(s.hi, int(w)+1)
+	}
+	s.words[w] |= 1 << (uint(f) & 63)
 }
 
 // has reports whether f is in the set. It sits inside every per-file walk
 // of the selection (build, repair, charged-size scans), so it must inline
-// and must not spill its receiver.
+// and must not spill its receiver. The unsigned word index is what lets the
+// length test discharge the bounds check where it inlines.
 //
 //fbvet:inline per-file membership test on every selection walk
 //fbvet:noescape
 func (s *fileSet) has(f bundle.FileID) bool {
-	i := int(f)
-	return i < len(s.stamp) && s.stamp[i] == s.gen
+	w := uint(f) >> 6
+	return w < uint(len(s.words)) && s.words[w]&(1<<(uint(f)&63)) != 0
 }
 
 // appendMembers appends the set's files to dst in ascending FileID order: a
-// walk of the dense stamp table, O(largest FileID seen) with no comparisons,
-// which on the selection's file counts beats sorting the members.
+// walk of the words below hi, one test per empty word and no comparisons.
+// Sorting the touched words instead would cost a comparison sort per round.
 //
 //fbvet:noescape
-//fbvet:nobce range over the stamp table
+//fbvet:nobce range over the words
 func (s *fileSet) appendMembers(dst []bundle.FileID) []bundle.FileID {
-	gen := s.gen
-	for i, g := range s.stamp {
-		if g == gen {
-			dst = append(dst, bundle.FileID(i))
+	hi := s.hi
+	for w, word := range s.words {
+		if w >= hi {
+			break
+		}
+		base := bundle.FileID(w) << 6
+		for word != 0 {
+			dst = append(dst, base+bundle.FileID(bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
 	return dst

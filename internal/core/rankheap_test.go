@@ -313,3 +313,63 @@ func TestFastZeroSizeFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestFileSetMatchesMapModel holds fileSet to a map[FileID]bool under random
+// add, has, reset and appendMembers. The universe widens and narrows between
+// phases, so the set grows after a reset (new words past the touched ones)
+// and resets after growing (touched words in the grown region); a bit that
+// survives a reset, or a touched word that reset misses, shows up as a
+// membership the model does not have.
+func TestFileSetMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var s fileSet
+	model := map[bundle.FileID]bool{}
+	audit := func(phase, step int) {
+		t.Helper()
+		want := make([]bundle.FileID, 0, len(model))
+		for f := range model {
+			want = append(want, f)
+		}
+		slices.Sort(want)
+		if got := s.appendMembers(nil); !slices.Equal(got, want) {
+			t.Fatalf("phase %d step %d: appendMembers = %v, model %v", phase, step, got, want)
+		}
+		// Every non-zero word is recorded as touched and lies below hi.
+		touched := map[uint32]bool{}
+		for _, w := range s.touched {
+			touched[w] = true
+		}
+		for w, word := range s.words {
+			if word != 0 && (!touched[uint32(w)] || w >= s.hi) {
+				t.Fatalf("phase %d step %d: word %d = %#x not tracked (hi %d)", phase, step, w, word, s.hi)
+			}
+		}
+	}
+	for phase, universe := range []int{10, 200, 64, 5000, 130, 1, 700} {
+		for step := range 600 {
+			f := bundle.FileID(rng.Intn(universe))
+			switch op := rng.Intn(20); {
+			case op < 10:
+				s.add(f)
+				model[f] = true
+			case op < 18:
+				probe := bundle.FileID(rng.Intn(universe + 130))
+				if got := s.has(probe); got != model[probe] {
+					t.Fatalf("phase %d step %d: has(%d) = %t, model %t", phase, step, probe, got, model[probe])
+				}
+			case op < 19:
+				audit(phase, step)
+			default:
+				old := s.appendMembers(nil)
+				s.reset()
+				clear(model)
+				for _, f := range old {
+					if s.has(f) {
+						t.Fatalf("phase %d step %d: %d survived a reset", phase, step, f)
+					}
+				}
+			}
+		}
+		audit(phase, -1)
+	}
+}

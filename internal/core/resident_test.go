@@ -13,9 +13,9 @@ import (
 // TestResidentEntriesMatchesMinusSupports checks the §5.3 candidate filter
 // against its definition, cache.Supports(e.Bundle.Minus(b)), over random
 // caches, histories and incoming bundles: the same entries, in the same
-// order. File IDs range past both the cache's residency table and the
-// incoming set's stamp table, and one fileSet serves every trial, so stale
-// stamps from earlier bundles would show up as wrong answers.
+// order. File IDs range past both the cache's residency words and the
+// incoming set's words, and one fileSet serves every trial, so bits left
+// from earlier bundles would show up as wrong answers.
 func TestResidentEntriesMatchesMinusSupports(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var in fileSet
@@ -48,7 +48,7 @@ func TestResidentEntriesMatchesMinusSupports(t *testing.T) {
 		for _, f := range b {
 			in.add(f)
 		}
-		got := residentEntries(c, entries, &in)
+		got := residentEntries(residentView(nil, c, &in), entries)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: filter kept %d entries, reference %d", trial, len(got), len(want))
 		}

@@ -22,7 +22,7 @@ type candState struct {
 
 // resortState holds the scratch of the resort greedy so steady-state
 // admissions allocate nothing: the candidate table, the ranking heap, the
-// epoch-stamped skip and chosen-file sets, the file→candidates postings and
+// skip and chosen-file bitsets, the file→candidates postings and
 // the result backing slices all survive across runs (OptFileBundle keeps one
 // per policy instance; SelectSeeded reuses one across all seed trials). The
 // returned Selection's Chosen and Files alias this scratch — valid until the
@@ -148,7 +148,7 @@ func rankOf(value, denom float64) float64 {
 	return math.Inf(1)
 }
 
-// chargedSizeSkip is chargedSize against the epoch-stamped skip set: the
+// chargedSizeSkip is chargedSize against the skip set: the
 // bytes b adds beyond files already covered or Free. It runs per candidate
 // on the step-three scan and per seed, so it stays allocation- and
 // bounds-check-free.

@@ -83,7 +83,7 @@ func TestQuickFastMatchesReference(t *testing.T) {
 }
 
 // TestFastScratchReuseMatchesReference runs the same property through one
-// resortState, as OptFileBundle does across admissions: every stamped set,
+// resortState, as OptFileBundle does across admissions: every file set,
 // posting list and result slice starts each run holding the previous run's
 // contents, so a reset that misses any of them shows up as a wrong
 // selection.

@@ -115,18 +115,36 @@ func (t *Topology) TransferSeconds(from SiteID, size bundle.Size) float64 {
 
 // Replicas is the replica catalog: which sites hold which files.
 type Replicas struct {
-	locs map[bundle.FileID][]SiteID
+	// locs is dense by FileID (catalog IDs are small sequential integers):
+	// locs[f] lists the sites holding f in registration order, empty when
+	// it has none. A file's slot keeps its backing array after its last
+	// replica leaves, so a re-planted file does not allocate again. The
+	// table grows geometrically on first sight of a larger FileID.
+	locs [][]SiteID
 }
 
 // NewReplicas returns an empty catalog.
-func NewReplicas() *Replicas {
-	return &Replicas{locs: make(map[bundle.FileID][]SiteID)}
+func NewReplicas() *Replicas { return &Replicas{} }
+
+// sitesOf returns the catalog's own site list of f (empty if unknown).
+//
+//fbvet:inline
+func (r *Replicas) sitesOf(f bundle.FileID) []SiteID {
+	if uint(f) < uint(len(r.locs)) {
+		return r.locs[f]
+	}
+	return nil
 }
 
 // Add registers a replica of f at site s (idempotent).
 func (r *Replicas) Add(f bundle.FileID, s SiteID) {
 	if r.Has(f, s) {
 		return
+	}
+	if uint(f) >= uint(len(r.locs)) {
+		grown := make([][]SiteID, max(uint(f)+1, 2*uint(len(r.locs))))
+		copy(grown, r.locs)
+		r.locs = grown
 	}
 	r.locs[f] = append(r.locs[f], s)
 }
@@ -137,7 +155,7 @@ func (r *Replicas) Add(f bundle.FileID, s SiteID) {
 //fbvet:noescape
 //fbvet:inline per-candidate local-copy test of every replan epoch
 func (r *Replicas) Has(f bundle.FileID, s SiteID) bool {
-	for _, have := range r.locs[f] {
+	for _, have := range r.sitesOf(f) {
 		if have == s {
 			return true
 		}
@@ -146,24 +164,19 @@ func (r *Replicas) Has(f bundle.FileID, s SiteID) bool {
 }
 
 // NumSitesOf reports how many sites hold a replica of f (0 if unknown).
-func (r *Replicas) NumSitesOf(f bundle.FileID) int { return len(r.locs[f]) }
+func (r *Replicas) NumSitesOf(f bundle.FileID) int { return len(r.sitesOf(f)) }
 
 // Remove deregisters the replica of f at site s, reporting whether it was
 // present. A file whose last replica is removed leaves the catalog entirely.
 // The replica re-planner uses this to retire cold local copies; callers are
 // responsible for never dropping the only copy of a file they still need.
 func (r *Replicas) Remove(f bundle.FileID, s SiteID) bool {
-	locs := r.locs[f]
+	locs := r.sitesOf(f)
 	for i, have := range locs {
 		if have != s {
 			continue
 		}
-		locs = append(locs[:i], locs[i+1:]...)
-		if len(locs) == 0 {
-			delete(r.locs, f)
-		} else {
-			r.locs[f] = locs
-		}
+		r.locs[f] = append(locs[:i], locs[i+1:]...)
 		return true
 	}
 	return false
@@ -172,8 +185,8 @@ func (r *Replicas) Remove(f bundle.FileID, s SiteID) bool {
 // Sites returns the sites holding f (nil if unknown). The slice is a copy;
 // mutating it cannot corrupt the catalog.
 func (r *Replicas) Sites(f bundle.FileID) []SiteID {
-	locs := r.locs[f]
-	if locs == nil {
+	locs := r.sitesOf(f)
+	if len(locs) == 0 {
 		return nil
 	}
 	out := make([]SiteID, len(locs))
@@ -207,7 +220,7 @@ func (r *Replicas) RankedSources(t *Topology, f bundle.FileID, size bundle.Size)
 //fbvet:noescape
 func (r *Replicas) AppendRankedSources(dst []Source, t *Topology, f bundle.FileID, size bundle.Size) []Source {
 	base := len(dst)
-	for _, s := range r.locs[f] {
+	for _, s := range r.sitesOf(f) {
 		c := t.TransferSeconds(s, size)
 		if math.IsInf(c, 1) {
 			continue

@@ -345,3 +345,65 @@ func TestHasAndNumSitesOf(t *testing.T) {
 		t.Errorf("file still catalogued after its last replica left: %v", reps.Sites(f))
 	}
 }
+
+// TestReplicasMatchMapModel holds the dense catalog to the map-of-slices
+// catalog it replaced, under random Add (repeats included), Remove, Has,
+// NumSitesOf, Sites and AppendRankedSources. File IDs start small and jump
+// far, so the table grows while files are catalogued, and files lose their
+// last replica and come back, so a stale or revived slot shows.
+func TestReplicasMatchMapModel(t *testing.T) {
+	const sites = 12
+	topo := rankingTopo(t, sites)
+	rng := rand.New(rand.NewSource(9))
+	reps := NewReplicas()
+	model := map[bundle.FileID][]SiteID{}
+	files := []bundle.FileID{0, 1, 2, 3, 7, 8, 63, 64, 300, 4097}
+	for step := range 5000 {
+		f := files[rng.Intn(min(len(files), 4+step/500))]
+		s := SiteID(rng.Intn(sites + 1))
+		switch rng.Intn(6) {
+		case 0, 1:
+			reps.Add(f, s)
+			if !slices.Contains(model[f], s) {
+				model[f] = append(model[f], s)
+			}
+		case 2:
+			i := slices.Index(model[f], s)
+			if got := reps.Remove(f, s); got != (i >= 0) {
+				t.Fatalf("step %d: Remove(%d, %d) = %t, model holds it: %t", step, f, s, got, i >= 0)
+			}
+			if i >= 0 {
+				model[f] = slices.Delete(model[f], i, i+1)
+				if len(model[f]) == 0 {
+					delete(model, f)
+				}
+			}
+		case 3:
+			if got, want := reps.Has(f, s), slices.Contains(model[f], s); got != want {
+				t.Fatalf("step %d: Has(%d, %d) = %t, model %t", step, f, s, got, want)
+			}
+		case 4:
+			if got, want := reps.NumSitesOf(f), len(model[f]); got != want {
+				t.Fatalf("step %d: NumSitesOf(%d) = %d, model %d", step, f, got, want)
+			}
+			got, want := reps.Sites(f), model[f]
+			if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+				t.Fatalf("step %d: Sites(%d) = %#v, model %#v", step, f, got, want)
+			}
+		case 5:
+			var want []Source
+			for _, s := range model[f] {
+				if c := topo.TransferSeconds(s, 100); !math.IsInf(c, 1) {
+					want = append(want, Source{Site: s, Cost: c})
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Cost < want[j].Cost })
+			if got := reps.AppendRankedSources(nil, topo, f, 100); !slices.Equal(got, want) {
+				t.Fatalf("step %d: AppendRankedSources(%d) = %v, model %v", step, f, got, want)
+			}
+		}
+	}
+	if got := reps.Sites(12345); got != nil {
+		t.Errorf("Sites of a never-seen file = %v, want nil", got)
+	}
+}
