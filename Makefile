@@ -7,7 +7,7 @@ GO ?= go
 #   make fuzz FUZZTIME=5m
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-invariant lint vet fbvet sarif doc-lint race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate trace-check fuzz soak lines clean
+.PHONY: all build test test-invariant lint vet fbvet doc-lint race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate trace-check fuzz soak lines clean
 
 all: build lint test
 
@@ -44,15 +44,6 @@ vet:
 
 fbvet:
 	$(GO) run ./cmd/fbvet ./...
-
-# sarif emits the fbvet findings as a SARIF 2.1.0 log (fbvet.sarif) and
-# structurally validates it — the artifact CI uploads for code scanning.
-# Findings do not stop the target (the fbvet target is the gate): the log is
-# most useful precisely when there are findings in it. A run that wrote no
-# log, or a malformed one, still fails the validation.
-sarif:
-	$(GO) run ./cmd/fbvet -format=sarif ./... > fbvet.sarif || true
-	$(GO) run ./cmd/fbvet -validate fbvet.sarif
 
 # doc-lint runs only the documentation contract: every package must carry a
 # package comment (opening "Package <name>" for library packages) stating

@@ -24,7 +24,7 @@ func TestRunBenchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer server.Close()
+	defer func() { _ = server.Shutdown(0) }()
 
 	const clients, jobsPerClient = 3, 15
 	w, err := workload.Generate(workload.Spec{

@@ -6,12 +6,16 @@
 // Server:
 //
 //	srmd -listen :7070 -cache-gb 10
-//	srmd -listen :7070 -debug-addr :7071   # adds /metrics, /debug/vars, /debug/pprof, /debug/flight
+//	srmd -listen :7070 -debug-addr :7071   # adds /metrics, /debug/pprof, /debug/flight
 //	srmd -listen :7070 -flight-out flight.jsonl -slow 50ms
 //
 // The server always runs a span flight recorder: every request is traced,
 // slow (-slow) or failed requests are kept at full fidelity and, with
 // -flight-out, dumped as JSONL for offline analysis (fbtrace spans).
+//
+// Every field of the cache's statistics is an fbcache_* series on
+// -debug-addr's /metrics; `srmd -connect ADDR -stats` prints the same
+// snapshot over the wire protocol.
 //
 // Client:
 //
@@ -52,8 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		listen    = fs.String("listen", "", "serve on this address (e.g. :7070)")
-		httpAddr  = fs.String("http", "", "also serve monitoring stats over HTTP on this address")
-		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
+		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/pprof and /debug/flight on this address")
 		cacheGB   = fs.Float64("cache-gb", 10, "cache size in GB (server)")
 		drain     = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline for in-flight connections (server)")
 		flightOut = fs.String("flight-out", "", "dump anomalous request spans to this JSONL file (server)")
@@ -70,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *listen != "":
-		return runServer(*listen, *httpAddr, *debugAddr, *cacheGB, *drain, *flightOut, *slow, stdout, stderr)
+		return runServer(*listen, *debugAddr, *cacheGB, *drain, *flightOut, *slow, stdout, stderr)
 	case *connect != "":
 		return runClient(*connect, *addfile, *stage, *release, *stats, stdout, stderr)
 	default:
@@ -83,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // delivering a real signal to the test process.
 var testStop chan struct{}
 
-func runServer(addr, httpAddr, debugAddr string, cacheGB float64, drain time.Duration, flightOut string, slow time.Duration, stdout, stderr io.Writer) int {
+func runServer(addr, debugAddr string, cacheGB float64, drain time.Duration, flightOut string, slow time.Duration, stdout, stderr io.Writer) int {
 	cat := bundle.NewCatalog()
 	pol := core.New(bundle.Size(cacheGB*float64(bundle.GB)), cat.SizeFunc(), core.DefaultOptions())
 	// The flight recorder is always on (disabled spans would hide exactly
@@ -108,14 +111,6 @@ func runServer(addr, httpAddr, debugAddr string, cacheGB float64, drain time.Dur
 	// Shutdown flushes the recorder's buffered dump after the drain window.
 	server.CloseOnShutdown(rec)
 	fmt.Fprintf(stdout, "srmd: serving OptFileBundle cache (%.1f GB) on %s\n", cacheGB, server.Addr())
-	if httpAddr != "" {
-		go func() {
-			fmt.Fprintf(stdout, "srmd: monitoring stats on http://%s/stats\n", httpAddr)
-			if err := http.ListenAndServe(httpAddr, srm.StatsHandler(service)); err != nil {
-				fmt.Fprintf(stderr, "srmd: http: %v\n", err)
-			}
-		}()
-	}
 	if debugAddr != "" {
 		// Listen synchronously so ":0" resolves to a concrete port that can
 		// be announced (the smoke test scrapes it), then serve in background.
@@ -127,7 +122,7 @@ func runServer(addr, httpAddr, debugAddr string, cacheGB float64, drain time.Dur
 			}
 			return 1
 		}
-		fmt.Fprintf(stdout, "srmd: debug endpoints (metrics, vars, pprof, flight) at http://%s/\n", ln.Addr())
+		fmt.Fprintf(stdout, "srmd: debug endpoints (metrics, pprof, flight) at http://%s/\n", ln.Addr())
 		mux := obs.DebugMux(srm.NewRegistry(service))
 		mux.Handle("/debug/flight", span.FlightHandler(rec))
 		go func() {
@@ -148,12 +143,12 @@ func runServer(addr, httpAddr, debugAddr string, cacheGB float64, drain time.Dur
 
 	// Graceful teardown: stop accepting, give in-flight connections the
 	// drain window to finish and release their bundles, then force-close
-	// stragglers (dropping a connection releases its leases too).
+	// stragglers and close the SRM, which fails any stage still waiting on
+	// pinned capacity (dropping a connection releases its leases too).
 	fmt.Fprintf(stdout, "srmd: shutting down (draining up to %v)\n", drain)
 	if err := server.Shutdown(drain); err != nil {
 		fmt.Fprintf(stderr, "srmd: shutdown: %v\n", err)
 	}
-	service.Close()
 	fmt.Fprintln(stdout, "srmd: stopped")
 	return 0
 }

@@ -27,10 +27,7 @@ func testServer(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		service.Close()
-		_ = server.Close()
-	})
+	t.Cleanup(func() { _ = server.Shutdown(0) })
 	return server.Addr()
 }
 
@@ -211,22 +208,8 @@ func TestRunServerGracefulShutdown(t *testing.T) {
 		}
 	}
 
-	// /debug/vars and pprof ride on the same mux.
-	for _, path := range []string{"/debug/vars", "/debug/pprof/cmdline"} {
-		resp, err := http.Get(debugURL + strings.TrimPrefix(path, "/"))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			t.Fatalf("%s: read: %v", path, err)
-		}
-		if err := resp.Body.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-	}
+	// pprof rides on the same mux.
+	httpGet(t, debugURL+"debug/pprof/cmdline")
 	// CI uploads the scrape as an artifact when this is set.
 	if dest := os.Getenv("SRMD_METRICS_OUT"); dest != "" {
 		if err := os.WriteFile(dest, []byte(scrape), 0o644); err != nil {

@@ -84,7 +84,11 @@ func ExampleNewSRM() {
 	cat.Add("humidity.nc", fbcache.GB)
 	service := fbcache.NewSRM(fbcache.NewCache(4*fbcache.GB, cat.SizeFunc()), cat)
 
-	release, res, err := service.StageNames([]string{"temperature.nc", "humidity.nc"})
+	b, err := cat.Resolve([]string{"temperature.nc", "humidity.nc"})
+	if err != nil {
+		panic(err)
+	}
+	release, res, err := service.Stage(b)
 	if err != nil {
 		panic(err)
 	}

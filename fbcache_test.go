@@ -162,7 +162,7 @@ func TestSRMFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer func() { _ = srv.Shutdown(0) }()
 	c, err := DialSRM(srv.Addr())
 	if err != nil {
 		t.Fatal(err)

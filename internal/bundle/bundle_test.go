@@ -239,6 +239,20 @@ func TestQuickSetAlgebra(t *testing.T) {
 	}
 }
 
+func TestCatalogResolve(t *testing.T) {
+	c := NewCatalog()
+	a := c.Add("alpha", 100)
+	b := c.Add("beta", 200)
+	got, err := c.Resolve([]string{"beta", "alpha", "beta"})
+	if err != nil || !got.Equal(New(a, b)) {
+		t.Errorf("Resolve = %v, %v; want %v", got, err, New(a, b))
+	}
+	_, err = c.Resolve([]string{"alpha", "missing"})
+	if err == nil || err.Error() != `unknown file "missing"` {
+		t.Errorf("Resolve(missing) = %v, want the unknown file named", err)
+	}
+}
+
 func TestCatalogBasics(t *testing.T) {
 	c := NewCatalog()
 	if c.Len() != 0 {

@@ -74,6 +74,22 @@ func (c *Catalog) Lookup(name string) (FileID, bool) {
 	return id, ok
 }
 
+// Resolve maps file names to the bundle of their IDs under one read lock.
+// It fails on the first name that is not registered.
+func (c *Catalog) Resolve(names []string) (Bundle, error) {
+	ids := make([]FileID, len(names))
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for i, n := range names {
+		id, ok := c.index[n]
+		if !ok {
+			return nil, fmt.Errorf("unknown file %q", n)
+		}
+		ids[i] = id
+	}
+	return FromSlice(ids), nil
+}
+
 // Name returns the name of file id. It panics on unknown IDs.
 func (c *Catalog) Name(id FileID) string {
 	c.mu.RLock()

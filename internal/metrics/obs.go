@@ -58,50 +58,3 @@ func ExportResilience(reg *obs.Registry, read func() Resilience) {
 		"Failed jobs returned to the queue for another attempt.",
 		field(func(r Resilience) int64 { return r.Requeues }))
 }
-
-// ExportRecovery registers the per-outage recovery measures on reg under
-// fbcache_sim_recovery_*. read must return a consistent snapshot of the
-// records (e.g. RecoveryTracker.Finish output held by the owner); it is
-// called once per metric per scrape.
-func ExportRecovery(reg *obs.Registry, read func() []Recovery) {
-	reg.CounterFunc("fbcache_sim_recovery_outages_total",
-		"Outages whose recovery was measured.",
-		func() float64 { return float64(len(read())) })
-	reg.CounterFunc("fbcache_sim_recovery_recovered_total",
-		"Outages whose windowed hit ratio returned to within epsilon of its pre-outage baseline.",
-		func() float64 {
-			n := 0
-			for _, r := range read() {
-				if r.Recovered {
-					n++
-				}
-			}
-			return float64(n)
-		})
-	reg.GaugeFunc("fbcache_sim_recovery_mean_seconds",
-		"Mean recovery time over recovered outages (outage start to ratio return).",
-		func() float64 {
-			sum, n := 0.0, 0
-			for _, r := range read() {
-				if r.Recovered {
-					sum += r.RecoverySec
-					n++
-				}
-			}
-			if n == 0 {
-				return 0
-			}
-			return sum / float64(n)
-		})
-	reg.GaugeFunc("fbcache_sim_recovery_max_seconds",
-		"Slowest recovery among recovered outages.",
-		func() float64 {
-			max := 0.0
-			for _, r := range read() {
-				if r.Recovered && r.RecoverySec > max {
-					max = r.RecoverySec
-				}
-			}
-			return max
-		})
-}

@@ -22,9 +22,9 @@
 //     untaken branch. The sinks are NopTracer and JSONLSink, which writes
 //     one {"kind":...,"ev":...} Record per event; the nine kind names are
 //     declared here once and internal/obs/traceio decodes them back.
-//   - Exposition (prom.go, http.go): hand-rolled Prometheus text format,
-//     an expvar-style JSON view, and a DebugMux bundling /metrics,
-//     /debug/vars and net/http/pprof for cmd/srmd's -debug-addr flag.
+//   - Exposition (prom.go, http.go): hand-rolled Prometheus text format
+//     and a DebugMux bundling /metrics and net/http/pprof for cmd/srmd's
+//     -debug-addr flag.
 //
 // obs sits below every other internal package (it imports only the standard
 // library), so any layer — simulator core, policies, the SRM service, the

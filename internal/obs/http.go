@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 )
@@ -15,26 +14,9 @@ func PromHandler(r *Registry) http.Handler {
 	})
 }
 
-// VarsHandler serves the registry as an expvar-style JSON object keyed by
-// metric name. json.Marshal sorts map keys, so the document is deterministic.
-func VarsHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		snap := r.Snapshot()
-		vars := make(map[string]Metric, len(snap.Metrics))
-		for _, m := range snap.Metrics {
-			vars[m.Name] = m
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(vars)
-	})
-}
-
 // DebugMux bundles the debug surface served behind srmd's -debug-addr flag:
 //
 //	/metrics      Prometheus text format
-//	/debug/vars   expvar-style JSON
 //	/debug/pprof  CPU, heap, goroutine, block, mutex profiles
 //
 // pprof handlers are mounted explicitly rather than via the net/http/pprof
@@ -43,7 +25,6 @@ func VarsHandler(r *Registry) http.Handler {
 func DebugMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", PromHandler(r))
-	mux.Handle("/debug/vars", VarsHandler(r))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

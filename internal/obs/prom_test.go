@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -80,34 +79,10 @@ func TestPromHandler(t *testing.T) {
 	}
 }
 
-func TestVarsHandler(t *testing.T) {
-	srv := httptest.NewServer(VarsHandler(exampleRegistry()))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cerr := resp.Body.Close(); cerr != nil {
-			t.Error(cerr)
-		}
-	}()
-	var vars map[string]Metric
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	if m := vars["fb_jobs_total"]; m.Value != 12 {
-		t.Errorf("fb_jobs_total = %+v", m)
-	}
-	if m := vars["fb_wait_seconds"]; m.Count != 3 {
-		t.Errorf("fb_wait_seconds = %+v", m)
-	}
-}
-
 func TestDebugMuxRoutes(t *testing.T) {
 	srv := httptest.NewServer(DebugMux(exampleRegistry()))
 	defer srv.Close()
-	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
+	for _, path := range []string{"/metrics", "/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)

@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -32,27 +30,6 @@ func (k Kind) String() string {
 		return "histogram"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-// MarshalJSON renders the kind as its lowercase name ("counter", "gauge",
-// "histogram") so /debug/vars output is self-describing.
-func (k Kind) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + k.String() + `"`), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (k *Kind) UnmarshalJSON(data []byte) error {
-	switch string(data) {
-	case `"counter"`:
-		*k = KindCounter
-	case `"gauge"`:
-		*k = KindGauge
-	case `"histogram"`:
-		*k = KindHistogram
-	default:
-		return fmt.Errorf("obs: unknown metric kind %s", data)
-	}
-	return nil
 }
 
 // Histogram is a fixed-bucket distribution. Bucket layouts are chosen at
@@ -245,56 +222,29 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // Bucket is one cumulative histogram bucket in a snapshot.
 type Bucket struct {
 	// UpperBound is the bucket's inclusive upper bound; +Inf for the last.
-	UpperBound float64 `json:"-"`
+	UpperBound float64
 	// Count is the cumulative number of observations ≤ UpperBound.
-	Count int64 `json:"count"`
-}
-
-// bucketJSON carries the bound as a string — encoding/json rejects the +Inf
-// float the last bucket always holds.
-type bucketJSON struct {
-	UpperBound string `json:"le"`
-	Count      int64  `json:"count"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (b Bucket) MarshalJSON() ([]byte, error) {
-	return json.Marshal(bucketJSON{UpperBound: formatFloat(b.UpperBound), Count: b.Count})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (b *Bucket) UnmarshalJSON(data []byte) error {
-	var bj bucketJSON
-	if err := json.Unmarshal(data, &bj); err != nil {
-		return err
-	}
-	ub, err := strconv.ParseFloat(bj.UpperBound, 64)
-	if err != nil {
-		return err
-	}
-	b.UpperBound = ub
-	b.Count = bj.Count
-	return nil
+	Count int64
 }
 
 // Metric is one instrument's state at snapshot time.
 type Metric struct {
-	Name string `json:"name"`
-	Help string `json:"help,omitempty"`
-	Kind Kind   `json:"kind"`
+	Name string
+	Help string
+	Kind Kind
 	// Value carries counters (as float64) and gauges.
-	Value float64 `json:"value"`
+	Value float64
 	// Buckets, Sum and Count carry histograms.
-	Buckets []Bucket `json:"buckets,omitempty"`
-	Sum     float64  `json:"sum,omitempty"`
-	Count   int64    `json:"count,omitempty"`
+	Buckets []Bucket
+	Sum     float64
+	Count   int64
 }
 
 // Snapshot is a point-in-time copy of every registered metric, sorted by
 // name. Two snapshots of the same registry always list the same metrics in
 // the same order, so diffs and golden tests are stable.
 type Snapshot struct {
-	Metrics []Metric `json:"metrics"`
+	Metrics []Metric
 }
 
 // Snapshot captures the current value of every metric.

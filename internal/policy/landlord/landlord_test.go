@@ -176,20 +176,3 @@ func TestRandomizedInvariantsAndService(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkLandlordAdmit(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	l := New(200, unit)
-	bundles := make([]bundle.Bundle, 128)
-	for i := range bundles {
-		ids := make([]bundle.FileID, 1+rng.Intn(5))
-		for j := range ids {
-			ids[j] = bundle.FileID(rng.Intn(500))
-		}
-		bundles[i] = bundle.New(ids...)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.Admit(bundles[i%len(bundles)])
-	}
-}

@@ -45,8 +45,8 @@ func NewRegistry(s *SRM) *obs.Registry {
 		"Requested bundle size per Stage call, in bytes.", s.reqBytes)
 	quantile := func(q float64) func() float64 {
 		return func() float64 {
-			// NaN (empty histogram) would poison the /debug/vars JSON
-			// rendering; scrape 0 until the first request arrives.
+			// Scrape 0, not the empty histogram's NaN, until the first
+			// request arrives.
 			if s.reqBytes.Count() == 0 {
 				return 0
 			}

@@ -79,9 +79,14 @@ func TestConcurrentStageNames(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				names := []string{fmt.Sprintf("f%d", g%6), fmt.Sprintf("f%d", (g+1)%6)}
-				rel, _, err := s2.StageNames(names)
+				b, err := cat.Resolve(names)
 				if err != nil {
-					t.Errorf("StageNames: %v", err)
+					t.Errorf("Resolve: %v", err)
+					return
+				}
+				rel, _, err := s2.Stage(b)
+				if err != nil {
+					t.Errorf("Stage: %v", err)
 					return
 				}
 				rel()

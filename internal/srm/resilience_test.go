@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fbcache/internal/bundle"
+	"fbcache/internal/core"
 )
 
 func TestStageTimeoutReturnsErrBusy(t *testing.T) {
@@ -97,30 +98,16 @@ func TestRetryStoreBounded(t *testing.T) {
 	}
 
 	// A persistent failure surfaces after exactly storeAttempts tries.
-	tries := func(f bundle.FileID) int64 {
-		src.fail.Store(1 << 30)
-		before := src.opens.Load()
-		if err := stage(f); !errors.Is(err, errTransient) {
-			t.Fatalf("err = %v", err)
-		}
-		return src.opens.Load() - before
+	src.fail.Store(1 << 30)
+	before := src.opens.Load()
+	if err := stage(1); !errors.Is(err, errTransient) {
+		t.Fatalf("err = %v", err)
 	}
-	if n := tries(1); n != 3 {
-		t.Errorf("persistent failure tried %d times, want 3", n)
+	if n := src.opens.Load() - before; n != storeAttempts {
+		t.Errorf("persistent failure tried %d times, want %d", n, storeAttempts)
 	}
 	if got := s.Stats().Resilience.Retries; got != 4 {
 		t.Errorf("retries counted = %d, want 4 (failed stages count theirs too)", got)
-	}
-
-	// WithStoreRetries(1) means a single attempt, no retries.
-	s.WithStoreRetries(1)
-	if n := tries(2); n != 1 {
-		t.Errorf("with retries disabled: %d tries, want 1", n)
-	}
-	// Clamping: nonsense values fall back to one attempt.
-	s.WithStoreRetries(-4)
-	if n := tries(3); n != 1 {
-		t.Errorf("clamped attempts: %d tries, want 1", n)
 	}
 }
 
@@ -276,6 +263,40 @@ func TestServerShutdownForceClosesStragglers(t *testing.T) {
 		st := s.Stats()
 		return st.PinnedBytes == 0 && st.ActiveJobs == 0
 	})
+}
+
+// A handler serves one request at a time, so a stage that waits on its own
+// connection's pins can never be satisfied by that connection. Past the
+// drain deadline Shutdown must still wake it, and the teardown must release
+// the connection's lease.
+func TestShutdownWakesBlockedStager(t *testing.T) {
+	cat := bundle.NewCatalog()
+	cat.Add("a", 6)
+	cat.Add("b", 6)
+	s := New(core.New(10, cat.SizeFunc(), core.Options{}), cat)
+	srv, err := Serve(s, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := rawStage(t, srv, "a")
+	if _, err := conn.Write(appendRequest(nil, &Request{Op: "stage", Files: []string{"b"}})); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, func() bool { return s.Stats().WaitingJobs == 1 })
+
+	done := make(chan error, 1)
+	go func() { done <- srv.Shutdown(50 * time.Millisecond) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Shutdown still blocked 2s after a 50ms drain deadline")
+	}
+	if st := s.Stats(); st.PinnedBytes != 0 || st.ActiveJobs != 0 || st.WaitingJobs != 0 {
+		t.Errorf("state after shutdown: %+v", st)
+	}
 }
 
 func waitUntil(t *testing.T, cond func() bool) {

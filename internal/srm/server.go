@@ -107,12 +107,12 @@ func Serve(s *SRM, addr string) (*Server, error) {
 // Addr reports the bound address.
 func (srv *Server) Addr() string { return srv.ln.Addr().String() }
 
-// CloseOnShutdown registers c to be closed when the server stops — after
-// the drain in Shutdown, or immediately in Close. Use it for telemetry
-// sinks whose buffers must flush before the process exits: the span flight
-// recorder (span.Recorder.Close flushes its JSONL dump) and any standalone
-// trace sinks. Closers run once, in registration order; a registration
-// after shutdown closes c immediately.
+// CloseOnShutdown registers c to be closed when the server stops, after
+// the drain in Shutdown. Use it for telemetry sinks whose buffers must flush
+// before the process exits: the span flight recorder (span.Recorder.Close
+// flushes its JSONL dump) and any standalone trace sinks. Closers run
+// once, in registration order; a registration after shutdown closes c
+// immediately.
 func (srv *Server) CloseOnShutdown(c io.Closer) {
 	srv.mu.Lock()
 	late := srv.flushed
@@ -145,30 +145,14 @@ func (srv *Server) closeClosers() error {
 	return first
 }
 
-// Close stops the listener and closes all connections immediately. For a
-// graceful stop that lets in-flight clients finish, use Shutdown.
-func (srv *Server) Close() error {
-	srv.mu.Lock()
-	srv.closed = true
-	for c := range srv.conns {
-		_ = c.Close() // per-conn close errors don't outrank the listener's
-	}
-	srv.mu.Unlock()
-	err := srv.ln.Close()
-	// No drain: flush immediately. A handler racing this may still emit —
-	// closed telemetry sinks drop such late events safely (the recorder
-	// nils its dump on Close), they are not worth blocking a hard stop.
-	if ferr := srv.closeClosers(); err == nil {
-		err = ferr
-	}
-	return err
-}
-
-// Shutdown stops the server gracefully: the listener closes first (no new
+// Shutdown stops the server: the listener closes first (no new
 // connections), then in-flight connections get up to drain to finish their
-// requests and disconnect on their own; stragglers are force-closed when the
-// deadline passes. Dropping a connection releases its leases either way, so
-// no bundle stays pinned past Shutdown. Safe to call once.
+// requests and disconnect on their own. When the deadline passes,
+// stragglers are force-closed and the SRM is closed, so a stage still
+// blocked on pinned capacity fails with ErrClosed instead of holding its
+// handler forever. Dropping a connection releases its leases either way, so
+// no bundle stays pinned past Shutdown. Shutdown(0) is the immediate stop;
+// a second call is a no-op.
 func (srv *Server) Shutdown(drain time.Duration) error {
 	srv.mu.Lock()
 	if srv.closed {
@@ -194,7 +178,8 @@ func (srv *Server) Shutdown(drain time.Duration) error {
 		_ = c.Close() // drain deadline passed; cut the stragglers loose
 	}
 	srv.mu.Unlock()
-	srv.wg.Wait() // handlers release their leases on the way out
+	srv.srm.Close() // wake stagers blocked in admit; a closed conn does not
+	srv.wg.Wait()   // handlers release their leases on the way out
 	if ferr := srv.closeClosers(); err == nil {
 		err = ferr
 	}
@@ -210,7 +195,7 @@ func (srv *Server) acceptLoop() {
 		srv.mu.Lock()
 		if srv.closed {
 			srv.mu.Unlock()
-			_ = conn.Close() // racing with Close; nothing to report the error to
+			_ = conn.Close() // racing with Shutdown; nothing to report the error to
 			return
 		}
 		srv.conns[conn] = true
@@ -240,7 +225,7 @@ func (srv *Server) handle(conn net.Conn) {
 	in := newWireReader(conn)
 	// One Request is reused for every line, and req.Files aliases the
 	// reader's backing array, which the next line overwrites. That is safe
-	// only because dispatch hands Files to StageNamesCtx, which maps the
+	// only because dispatch hands Files to Catalog.Resolve, which maps the
 	// names to FileIDs and keeps nothing; the strings themselves are fresh.
 	var req Request
 	var out []byte
@@ -320,7 +305,11 @@ func (srv *Server) dispatch(req *Request, leases map[string]Release, nextToken *
 			return Response{Error: "stage: no files"}, span.ErrOther
 		}
 		root.SetFiles(len(req.Files))
-		rel, res, err := srv.srm.StageNamesCtx(root.Context(), req.Files)
+		b, err := srv.srm.cat.Resolve(req.Files)
+		if err != nil {
+			return Response{Error: "srm: " + err.Error()}, span.ErrOther
+		}
+		rel, res, err := srv.srm.StageCtx(root.Context(), b, 0)
 		root.SetBytes(int64(res.BytesLoaded))
 		root.SetHit(res.Hit)
 		if err != nil {

@@ -23,7 +23,7 @@ func startServer(t *testing.T, capacity bundle.Size) (*Server, *SRM) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { _ = srv.Shutdown(0) })
 	return srv, s
 }
 
@@ -340,16 +340,18 @@ func fileName(i int) string {
 	return string(rune('a'+i%26)) + "file"
 }
 
-func TestServerCloseStopsAccepting(t *testing.T) {
+func TestShutdownStopsAccepting(t *testing.T) {
 	srv, _ := startServer(t, 100)
-	srv.Close()
+	if err := srv.Shutdown(0); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Dial(srv.Addr()); err == nil {
 		// A dial may still connect before the OS reaps the socket; try a
 		// round trip which must fail.
 		c, _ := Dial(srv.Addr())
 		if c != nil {
 			if _, err := c.Stats(); err == nil {
-				t.Error("server still serving after Close")
+				t.Error("server still serving after Shutdown")
 			}
 			c.Close()
 		}

@@ -26,7 +26,7 @@ func startSpanServer(t *testing.T, capacity bundle.Size, o span.Options) (*Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { _ = srv.Shutdown(0) })
 	return srv, s, rec
 }
 

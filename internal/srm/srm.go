@@ -73,8 +73,6 @@ type SRM struct {
 	// stageTimeout bounds how long one Stage may block waiting for pinned
 	// capacity; 0 means wait forever. See WithStageTimeout.
 	stageTimeout time.Duration //fbvet:guardedby mu
-	// storeAttempts bounds tries per store operation (>= 1).
-	storeAttempts int //fbvet:guardedby mu
 }
 
 // New builds an SRM over the given policy and catalog. The catalog provides
@@ -85,7 +83,7 @@ func New(pol policy.Policy, cat *bundle.Catalog) *SRM {
 		panic("srm: nil policy or catalog")
 	}
 	s := &SRM{
-		pol: pol, cat: cat, sizeOf: cat.SizeFunc(), storeAttempts: 3,
+		pol: pol, cat: cat, sizeOf: cat.SizeFunc(),
 		// 1 MB .. 32 GB in powers of two; larger requests land in +Inf.
 		reqBytes: obs.NewHistogram(obs.ExpBuckets(float64(bundle.MB), 2, 16)),
 	}
@@ -127,18 +125,6 @@ func (s *SRM) StageTimeout() time.Duration {
 	return s.stageTimeout
 }
 
-// WithStoreRetries bounds attempts per store operation (default 3). Values
-// below 1 are clamped to 1 (no retries).
-func (s *SRM) WithStoreRetries(attempts int) *SRM {
-	if attempts < 1 {
-		attempts = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.storeAttempts = attempts
-	return s
-}
-
 // Release undoes a successful Stage. It is safe to call exactly once.
 type Release func()
 
@@ -146,19 +132,23 @@ type Release func()
 // cannot coexist with currently pinned bundles. On success the returned
 // Release must be called when the job finishes processing.
 func (s *SRM) Stage(b bundle.Bundle) (Release, policy.Result, error) {
-	return s.StageCtx(span.Context{}, b)
+	return s.StageCtx(span.Context{}, b, 0)
 }
 
-// StageCtx is Stage under a request-span context: with a recorder attached
-// (WithSpans) and a live ctx, the queue-wait, policy-admission and
-// store-sync legs each become child spans, so per-request latency
-// attribution survives into the flight recorder. Under the zero Context,
-// or with no recorder, it is exactly Stage.
+// StageCtx is Stage under a request-span context and with a lease: with a
+// recorder attached (WithSpans) and a live ctx, the queue-wait,
+// policy-admission and store-sync legs each become child spans, so
+// per-request latency attribution survives into the flight recorder. A
+// ttl > 0 bounds the lease: if the caller has not released the bundle after
+// ttl, the SRM reclaims the pins itself, so a crashed or hung job can never
+// wedge the cache, and releasing after expiry is a harmless no-op. Under the
+// zero Context and ttl 0 it is exactly Stage; the wire server passes 0,
+// because dropping a connection already releases its leases.
 //
 // Capacity is reserved under s.mu and the bytes move outside it: admit pins
 // the bundle and stamps the store intents, then the store work runs
 // unlocked, so one stage's disk I/O never stalls another stage or a release.
-func (s *SRM) StageCtx(ctx span.Context, b bundle.Bundle) (Release, policy.Result, error) {
+func (s *SRM) StageCtx(ctx span.Context, b bundle.Bundle, ttl time.Duration) (Release, policy.Result, error) {
 	size := b.TotalSize(s.sizeOf)
 	s.reqBytes.Observe(float64(size))
 	r, res, err := s.admit(ctx, b, size)
@@ -184,6 +174,14 @@ func (s *SRM) StageCtx(ctx span.Context, b bundle.Bundle) (Release, policy.Resul
 	var once sync.Once
 	release := func() {
 		once.Do(func() { s.unpin(pinned, pinnedSize, 0) })
+	}
+	if ttl > 0 {
+		timer := time.AfterFunc(ttl, release)
+		unpin := release
+		release = func() {
+			timer.Stop()
+			unpin()
+		}
 	}
 	return release, res, nil
 }
@@ -293,43 +291,6 @@ func (s *SRM) unpin(pinned bundle.Bundle, pinnedSize bundle.Size, retries int64)
 	s.active--
 	s.res.Retries += retries
 	s.cond.Broadcast()
-}
-
-// StageWithTTL is Stage with a lease: if the caller has not released the
-// bundle after ttl, the SRM reclaims the pins itself, so a crashed or hung
-// job can never wedge the cache. Releasing after expiry is a harmless no-op.
-func (s *SRM) StageWithTTL(b bundle.Bundle, ttl time.Duration) (Release, policy.Result, error) {
-	release, res, err := s.Stage(b)
-	if err != nil {
-		return release, res, err
-	}
-	if ttl > 0 {
-		timer := time.AfterFunc(ttl, release)
-		inner := release
-		release = func() {
-			timer.Stop()
-			inner()
-		}
-	}
-	return release, res, nil
-}
-
-// StageNames resolves file names through the catalog and stages the bundle.
-func (s *SRM) StageNames(names []string) (Release, policy.Result, error) {
-	return s.StageNamesCtx(span.Context{}, names)
-}
-
-// StageNamesCtx is StageNames under a request-span context (see StageCtx).
-func (s *SRM) StageNamesCtx(ctx span.Context, names []string) (Release, policy.Result, error) {
-	ids := make([]bundle.FileID, 0, len(names))
-	for _, n := range names {
-		id, ok := s.cat.Lookup(n)
-		if !ok {
-			return nil, policy.Result{}, fmt.Errorf("srm: unknown file %q", n)
-		}
-		ids = append(ids, id)
-	}
-	return s.StageCtx(ctx, bundle.FromSlice(ids))
 }
 
 // AddFile registers a file in the catalog (size in bytes) and returns its ID.

@@ -11,6 +11,7 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
+	"fbcache/internal/obs/span"
 	"fbcache/internal/store"
 )
 
@@ -61,14 +62,6 @@ func TestStageTooLarge(t *testing.T) {
 	}
 	if !res.Unserviceable {
 		t.Error("not flagged unserviceable")
-	}
-}
-
-func TestStageNamesUnknownFile(t *testing.T) {
-	s, cat := newTestSRM(100, 10)
-	cat.Add("known", 10)
-	if _, _, err := s.StageNames([]string{"known", "missing"}); err == nil {
-		t.Error("unknown name accepted")
 	}
 }
 
@@ -195,7 +188,7 @@ func TestNewPanicsOnNil(t *testing.T) {
 
 func TestStageWithTTLAutoReleases(t *testing.T) {
 	s, _ := newTestSRM(100, 60)
-	rel, _, err := s.StageWithTTL(bundle.New(0), 20*time.Millisecond)
+	rel, _, err := s.StageCtx(span.Context{}, bundle.New(0), 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +210,7 @@ func TestStageWithTTLAutoReleases(t *testing.T) {
 
 func TestStageWithTTLEarlyReleaseCancelsTimer(t *testing.T) {
 	s, _ := newTestSRM(100, 60)
-	rel, _, err := s.StageWithTTL(bundle.New(0), time.Hour)
+	rel, _, err := s.StageCtx(span.Context{}, bundle.New(0), time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,14 +30,18 @@ type fileGen struct {
 	gen store.Gen
 }
 
+// storeAttempts bounds the tries per store operation: transient filesystem
+// errors (NFS hiccups, contended directories) are retried, persistent ones
+// surface on the third try.
+const storeAttempts = 3
+
 // storeMoves is one admission's store work, decided under s.mu and applied
 // after it is released. The zero value (no store attached) does nothing.
 type storeMoves struct {
-	st       *store.Store
-	rec      *span.Recorder
-	attempts int
-	ops      []fileGen // the evictions, then the files to bring present
-	nevict   int
+	st     *store.Store
+	rec    *span.Recorder
+	ops    []fileGen // the evictions, then the files to bring present
+	nevict int
 }
 
 // stampMoves records the admission's intents in the store: a fresh
@@ -52,7 +56,7 @@ func (s *SRM) stampMoves(res policy.Result, pinned bundle.Bundle) storeMoves {
 		return storeMoves{}
 	}
 	mv := storeMoves{
-		st: s.store, rec: s.rec, attempts: s.storeAttempts,
+		st: s.store, rec: s.rec,
 		ops: make([]fileGen, 0, len(res.Evicted)+len(res.Loaded)+len(pinned)),
 	}
 	for _, f := range res.Evicted {
@@ -73,13 +77,12 @@ func (s *SRM) stampMoves(res policy.Result, pinned bundle.Bundle) storeMoves {
 
 // apply performs the moves without s.mu: it unlinks each evicted file, then
 // brings every pinned or loaded file present, each at its generation. Every
-// operation gets attempts bounded tries — transient filesystem errors (NFS
-// hiccups, contended directories) are retried, persistent ones surface. It
-// reports the repeats for Resilience.Retries.
+// operation gets storeAttempts tries. It reports the repeats for
+// Resilience.Retries.
 func (mv *storeMoves) apply() (retries int64, err error) {
 	for i, op := range mv.ops {
 		evict := i < mv.nevict
-		for try := 0; try < mv.attempts; try++ {
+		for try := 0; try < storeAttempts; try++ {
 			if try > 0 {
 				retries++
 			}
