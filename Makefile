@@ -7,7 +7,7 @@ GO ?= go
 #   make fuzz FUZZTIME=5m
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-invariant lint vet fbvet doc-lint race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate trace-check fuzz soak lines clean
+.PHONY: all build test test-invariant lint fmt-check vet fbvet doc-lint race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate trace-check fuzz soak lines clean
 
 all: build lint test
 
@@ -36,8 +36,15 @@ test-invariant:
 # `go build -gcflags='-m -m -d=ssa/check_bce/debug=1'` sweep of the repo —
 # DESIGN.md §11). Both must be clean; findings are suppressed only by a
 # justified //fbvet:allow directive, and allowcheck flags directives that
-# are unjustified or no longer suppress anything.
-lint: vet fbvet
+# are unjustified or no longer suppress anything. fmt-check runs first.
+lint: fmt-check vet fbvet
+
+# fmt-check fails if gofmt would rewrite any tracked Go file. The analyzer
+# fixtures under testdata/ are exempt: they are analyzer inputs, kept as
+# written, and not all of them are gofmt-clean.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

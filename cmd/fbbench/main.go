@@ -26,32 +26,8 @@ import (
 )
 
 func main() {
-	var (
-		jobs     = flag.Int("jobs", 4000, "jobs per simulation point (paper used 10000)")
-		seed     = flag.Int64("seed", 1, "workload generation seed")
-		files    = flag.Int("files", 300, "file pool size")
-		requests = flag.Int("requests", 150, "request pool size")
-		cacheGB  = flag.Float64("cache-gb", 4, "reference cache size in GB")
-		exp      = flag.String("experiment", "all", "which experiment: all, table1, table2, fig5, fig6, fig7, fig8, fig9, bounds, baselines, hybrid, reqsize, saturation, sharding, overlap, degraded, replication")
-		reps     = flag.Int("reps", 1, "average each Fig 6-8 point over N independent workloads")
-		out      = flag.String("out", "", "directory for CSV output (optional)")
-		quiet    = flag.Bool("q", false, "suppress progress lines")
-	)
-	flag.Parse()
-
-	cfg := experiment.Config{
-		Seed:         *seed,
-		Jobs:         *jobs,
-		NumFiles:     *files,
-		NumRequests:  *requests,
-		CacheSize:    bundle.Size(*cacheGB * float64(bundle.GB)),
-		Replications: *reps,
-	}
-	if !*quiet {
-		cfg.Progress = os.Stderr
-	}
-
-	tables, err := run(cfg, strings.ToLower(*exp))
+	cfg, exp, out := parseFlags(os.Args[1:])
+	tables, err := run(cfg, exp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fbbench: %v\n", err)
 		os.Exit(1)
@@ -63,13 +39,43 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println()
-		if *out != "" {
-			if err := writeCSV(*out, t); err != nil {
+		if out != "" {
+			if err := writeCSV(out, t); err != nil {
 				fmt.Fprintf(os.Stderr, "fbbench: %v\n", err)
 				os.Exit(1)
 			}
 		}
 	}
+}
+
+// parseFlags reads fbbench's command line into the experiment configuration,
+// the lower-cased experiment name and the CSV output directory.
+func parseFlags(args []string) (cfg experiment.Config, exp, out string) {
+	fs := flag.NewFlagSet("fbbench", flag.ExitOnError)
+	var (
+		jobs     = fs.Int("jobs", 4000, "jobs per simulation point (paper used 10000)")
+		seed     = fs.Int64("seed", 1, "workload generation seed")
+		files    = fs.Int("files", 300, "file pool size")
+		requests = fs.Int("requests", 150, "request pool size")
+		cacheGB  = fs.Float64("cache-gb", 4, "reference cache size in GB")
+		which    = fs.String("experiment", "all", "which experiment: all, table1, table2, fig5, fig6, fig7, fig8, fig9, bounds, baselines, hybrid, reqsize, saturation, sharding, overlap, degraded, replication")
+		reps     = fs.Int("reps", 1, "average each Fig 6-8 point over N independent workloads")
+		dir      = fs.String("out", "", "directory for CSV output (optional)")
+		quiet    = fs.Bool("q", false, "suppress progress lines")
+	)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
+	cfg = experiment.Config{
+		Seed:         *seed,
+		Jobs:         *jobs,
+		NumFiles:     *files,
+		NumRequests:  *requests,
+		CacheSize:    bundle.Size(*cacheGB * float64(bundle.GB)),
+		Replications: *reps,
+	}
+	if !*quiet {
+		cfg.Progress = os.Stderr
+	}
+	return cfg, strings.ToLower(*which), *dir
 }
 
 func run(cfg experiment.Config, which string) ([]*experiment.Table, error) {

@@ -1,7 +1,9 @@
 package fbcache_test
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"fbcache"
 )
@@ -120,4 +122,91 @@ func ExampleNewJobManager() {
 	fmt.Println("err:", res.Err, "hit:", res.Hit)
 	// Output:
 	// err: <nil> hit: false
+}
+
+// Archiving a workload as a compact gob trace and reading it back: the
+// replayed trace carries the same requests in the same job order.
+func ExampleWriteTraceGob() {
+	spec := fbcache.DefaultWorkloadSpec()
+	spec.Jobs = 200
+	w, err := fbcache.Generate(spec)
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	if err := fbcache.WriteTraceGob(&buf, w); err != nil {
+		panic(err)
+	}
+	back, err := fbcache.ReadTraceGob(&buf)
+	if err != nil {
+		panic(err)
+	}
+	same := slices.Equal(back.Jobs, w.Jobs) && len(back.Requests) == len(w.Requests)
+	for i := range w.Requests {
+		same = same && back.Requests[i].Equal(w.Requests[i])
+	}
+	fmt.Println("jobs:", len(back.Jobs), "identical:", same)
+	// Output:
+	// jobs: 200 identical: true
+}
+
+// A disk cache spread over four cluster nodes, each running its own
+// OptFileBundle policy over a quarter of the capacity.
+func ExampleNewShardedCache() {
+	cat := fbcache.NewCatalog()
+	var files []fbcache.FileID
+	for i := 0; i < 4; i++ {
+		files = append(files, cat.Add(fmt.Sprintf("run%d.root", i), fbcache.GB))
+	}
+	cache, err := fbcache.NewShardedCache(8*fbcache.GB, 4, cat.SizeFunc(),
+		fbcache.OptFileBundlePolicyFactory(), nil)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(cache.Name())
+	for i := 0; i < 2; i++ {
+		res := cache.Admit(fbcache.NewBundle(files...))
+		fmt.Println("hit:", res.Hit, "loaded:", res.BytesLoaded)
+	}
+	// Output:
+	// optfilebundle-sharded4
+	// hit: false loaded: 4.00GB
+	// hit: true loaded: 0B
+}
+
+// The clairvoyant Belady baseline knows the future: with room for two
+// files, it evicts b, which is never requested again, and keeps a.
+func ExampleNewBelady() {
+	cat := fbcache.NewCatalog()
+	a, b, c := cat.Add("a", 1), cat.Add("b", 1), cat.Add("c", 1)
+	future := []fbcache.Bundle{
+		fbcache.NewBundle(a), fbcache.NewBundle(b), fbcache.NewBundle(c), fbcache.NewBundle(a),
+	}
+	belady := fbcache.NewBelady(2, cat.SizeFunc(), future)
+	for _, r := range future {
+		fmt.Print(belady.Admit(r).Hit, " ")
+	}
+	fmt.Println()
+	// Output:
+	// false false false true
+}
+
+// Association prefetching learns that b travels with a. When a request for a
+// finds b gone, the wrapper fetches b into free space alongside it.
+func ExampleWithAssociationPrefetch() {
+	cat := fbcache.NewCatalog()
+	a, b := cat.Add("a", fbcache.MB), cat.Add("b", fbcache.MB)
+	inner := fbcache.NewCache(10*fbcache.MB, cat.SizeFunc())
+	p := fbcache.WithAssociationPrefetch(inner, cat.SizeFunc(),
+		fbcache.PrefetchOptions{FanOut: 1, MinConfidence: 0.5})
+	for i := 0; i < 3; i++ {
+		p.Admit(fbcache.NewBundle(a, b))
+	}
+	if err := inner.Cache().Evict(b); err != nil {
+		panic(err)
+	}
+	res := p.Admit(fbcache.NewBundle(a))
+	fmt.Println("loaded:", res.BytesLoaded, "b resident:", inner.Cache().Contains(b))
+	// Output:
+	// loaded: 1.00MB b resident: true
 }

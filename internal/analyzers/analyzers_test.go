@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -23,7 +24,7 @@ func loadTestdata(t *testing.T, name string) *Package {
 		t.Fatalf("reading %s: %v", dir, err)
 	}
 
-	fset, imp, err := ExportImporter(".", []string{
+	fset, imp, err := exportImporter(".", []string{
 		"sort", "sync", "time", "math/rand", "errors", "fmt", "os", "strings",
 	})
 	if err != nil {
@@ -258,4 +259,23 @@ func TestRepoIsClean(t *testing.T) {
 			t.Errorf("%s", d)
 		}
 	}
+}
+
+// exportImporter returns a types.Importer resolving the given packages (and
+// their dependencies) from gc export data built by the go command. The
+// golden-test harness uses it to type-check testdata sources against real
+// standard-library packages.
+func exportImporter(dir string, pkgs []string) (*token.FileSet, types.Importer, error) {
+	listed, err := goList(dir, pkgs)
+	if err != nil {
+		return nil, nil, err
+	}
+	exports := make(map[string]string, len(listed))
+	for _, lp := range listed {
+		if lp.Export != "" {
+			exports[lp.ImportPath] = lp.Export
+		}
+	}
+	fset := token.NewFileSet()
+	return fset, exportDataImporter(fset, exports), nil
 }

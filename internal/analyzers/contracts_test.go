@@ -295,7 +295,7 @@ func ScanLoop(xss [][]int) {
 	}
 }
 `
-	fset, imp, err := ExportImporter(".", []string{"sort"})
+	fset, imp, err := exportImporter(".", []string{"sort"})
 	if err != nil {
 		t.Fatalf("building importer: %v", err)
 	}

@@ -84,25 +84,6 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// ExportImporter returns a types.Importer resolving the given packages (and
-// their dependencies) from gc export data built by the go command. The
-// golden-test harness uses it to type-check testdata sources against real
-// standard-library packages.
-func ExportImporter(dir string, pkgs []string) (*token.FileSet, types.Importer, error) {
-	listed, err := goList(dir, pkgs)
-	if err != nil {
-		return nil, nil, err
-	}
-	exports := make(map[string]string, len(listed))
-	for _, lp := range listed {
-		if lp.Export != "" {
-			exports[lp.ImportPath] = lp.Export
-		}
-	}
-	fset := token.NewFileSet()
-	return fset, exportDataImporter(fset, exports), nil
-}
-
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)

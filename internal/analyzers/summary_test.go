@@ -13,7 +13,7 @@ import (
 // assertions than as testdata files.
 func typecheckSrc(t *testing.T, src string) *Package {
 	t.Helper()
-	fset, imp, err := ExportImporter(".", []string{"sync", "time"})
+	fset, imp, err := exportImporter(".", []string{"sync", "time"})
 	if err != nil {
 		t.Fatalf("building importer: %v", err)
 	}

@@ -58,27 +58,6 @@ func (b *Bitmap) Count() int {
 	return total
 }
 
-// And returns a new bitmap with the intersection of b and other.
-// The bitmaps must have equal length.
-func (b *Bitmap) And(other *Bitmap) *Bitmap {
-	b.check(other)
-	out := NewBitmap(b.n)
-	for i := range b.words {
-		out.words[i] = b.words[i] & other.words[i]
-	}
-	return out
-}
-
-// Or returns a new bitmap with the union of b and other.
-func (b *Bitmap) Or(other *Bitmap) *Bitmap {
-	b.check(other)
-	out := NewBitmap(b.n)
-	for i := range b.words {
-		out.words[i] = b.words[i] | other.words[i]
-	}
-	return out
-}
-
 // OrWith unions other into b in place.
 func (b *Bitmap) OrWith(other *Bitmap) {
 	b.check(other)

@@ -51,29 +51,20 @@ func TestBitmapAlgebra(t *testing.T) {
 	for i := 0; i < 100; i += 3 {
 		b.Set(i) // multiples of 3
 	}
-	and := a.And(b) // multiples of 6
+	and := a.Clone()
+	and.AndWith(b) // multiples of 6
 	if got := and.Count(); got != 17 {
-		t.Errorf("And count = %d, want 17", got)
+		t.Errorf("AndWith count = %d, want 17", got)
 	}
-	or := a.Or(b)
+	or := a.Clone()
+	or.OrWith(b)
 	// |evens| + |x3| - |x6| = 50 + 34 - 17 = 67
 	if got := or.Count(); got != 67 {
-		t.Errorf("Or count = %d, want 67", got)
+		t.Errorf("OrWith count = %d, want 67", got)
 	}
-	// In-place variants agree.
-	c := a.Clone()
-	c.AndWith(b)
-	if c.Count() != and.Count() {
-		t.Error("AndWith disagrees with And")
-	}
-	d := a.Clone()
-	d.OrWith(b)
-	if d.Count() != or.Count() {
-		t.Error("OrWith disagrees with Or")
-	}
-	// Originals untouched.
+	// The operand and the cloned original are untouched.
 	if a.Count() != 50 || b.Count() != 34 {
-		t.Error("And/Or mutated operands")
+		t.Error("AndWith/OrWith mutated an operand or the clone's source")
 	}
 }
 
@@ -83,7 +74,7 @@ func TestBitmapLengthMismatchPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewBitmap(10).And(NewBitmap(11))
+	NewBitmap(10).AndWith(NewBitmap(11))
 }
 
 func TestBitmapSizeBytesTracksDensity(t *testing.T) {
@@ -204,14 +195,6 @@ func TestIndexErrors(t *testing.T) {
 		}
 	}()
 	ix.SetValue(0, 0, 0.5)
-}
-
-func TestIndexAttributeFiles(t *testing.T) {
-	ix, _, _, _ := buildIndex(t, 100)
-	files := ix.AttributeFiles(0)
-	if len(files) != 10 {
-		t.Errorf("AttributeFiles = %d, want 10", len(files))
-	}
 }
 
 // Property: for random bin-aligned single-attribute ranges, Evaluate counts

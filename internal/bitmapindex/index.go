@@ -60,9 +60,6 @@ func New(rows int, cat *bundle.Catalog) *Index {
 // Rows reports the row count.
 func (ix *Index) Rows() int { return ix.rows }
 
-// NumAttributes reports the attribute count.
-func (ix *Index) NumAttributes() int { return len(ix.attrs) }
-
 // AddAttribute declares an indexed attribute and returns its position.
 // It panics after Finalize or on invalid parameters.
 func (ix *Index) AddAttribute(name string, lo, hi float64, bins int) int {
@@ -191,15 +188,4 @@ func (ix *Index) binsOf(r Range) (*Attribute, int, int, error) {
 		hi = lo
 	}
 	return a, lo, hi, nil
-}
-
-// AttributeFiles returns the file IDs of an attribute's bins (after
-// Finalize), for workload builders.
-func (ix *Index) AttributeFiles(attr int) []bundle.FileID {
-	if !ix.finalized {
-		return nil
-	}
-	out := make([]bundle.FileID, len(ix.attrs[attr].files))
-	copy(out, ix.attrs[attr].files)
-	return out
 }

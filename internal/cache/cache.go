@@ -43,7 +43,7 @@ type Cache struct {
 	// catalog size over 64, not the catalog size. It grows with size.
 	resident []uint64
 
-	// Cumulative counters since New or ResetCounters.
+	// Cumulative counters since New.
 	bytesLoaded  bundle.Size
 	bytesEvicted bundle.Size
 	loads        int64
@@ -154,18 +154,6 @@ func (c *Cache) MissingAppend(dst, b bundle.Bundle) bundle.Bundle {
 	return dst
 }
 
-// MissingBytes reports the total size of b's non-resident files under sizeOf.
-func (c *Cache) MissingBytes(b bundle.Bundle, sizeOf bundle.SizeFunc) bundle.Size {
-	var total bundle.Size
-	sz := c.size
-	for _, f := range b {
-		if i := int(f); uint(i) >= uint(len(sz)) || sz[i] < 0 {
-			total += sizeOf(f)
-		}
-	}
-	return total
-}
-
 // Insert makes f resident with the given size. It returns an error if the
 // file would not fit or is already resident (idempotent re-insertion of the
 // same size is allowed and a no-op).
@@ -227,18 +215,6 @@ func (c *Cache) Evict(f bundle.FileID) error {
 			"cache: after Evict(%d): used %d outside [0, capacity %d]",
 			f, c.used, c.capacity)
 	}
-	return nil
-}
-
-// Pin increments f's pin count, protecting it from eviction while a job runs.
-// It returns an error if f is not resident.
-func (c *Cache) Pin(f bundle.FileID) error {
-	i := int(f)
-	if i >= len(c.size) || c.size[i] < 0 {
-		return fmt.Errorf("cache: pin %d: not resident", f)
-	}
-	c.growPins()
-	c.pins[i]++
 	return nil
 }
 
@@ -346,14 +322,9 @@ func (c *Cache) growPins() {
 	}
 }
 
-// Counters reports cumulative traffic since construction or ResetCounters.
+// Counters reports cumulative traffic since construction.
 func (c *Cache) Counters() (bytesLoaded, bytesEvicted bundle.Size, loads, evictions int64) {
 	return c.bytesLoaded, c.bytesEvicted, c.loads, c.evictions
-}
-
-// ResetCounters zeroes the cumulative counters; residency is unaffected.
-func (c *Cache) ResetCounters() {
-	c.bytesLoaded, c.bytesEvicted, c.loads, c.evictions = 0, 0, 0, 0
 }
 
 // CheckInvariants verifies internal consistency (used == Σ sizes, pins only on

@@ -93,24 +93,20 @@ func TestSupportsAndMissing(t *testing.T) {
 	if got := c.Missing(bundle.New(1, 2, 4, 5)); !got.Equal(bundle.New(2, 4)) {
 		t.Errorf("Missing = %v", got)
 	}
-	sizeOf := func(f bundle.FileID) bundle.Size { return bundle.Size(f) * 100 }
-	if got := c.MissingBytes(bundle.New(1, 2, 4), sizeOf); got != 600 {
-		t.Errorf("MissingBytes = %d, want 600", got)
-	}
 }
 
 func TestPinning(t *testing.T) {
 	c := New(100)
-	if err := c.Pin(1); err == nil {
+	if err := c.PinBundle(bundle.New(1)); err == nil {
 		t.Error("pin of absent file succeeded")
 	}
 	if err := c.Insert(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Pin(1); err != nil {
+	if err := c.PinBundle(bundle.New(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Pin(1); err != nil {
+	if err := c.PinBundle(bundle.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Pinned(1) {
@@ -189,14 +185,6 @@ func TestCounters(t *testing.T) {
 	if loaded != 50 || evicted != 30 || loads != 2 || evs != 1 {
 		t.Errorf("counters = %d %d %d %d", loaded, evicted, loads, evs)
 	}
-	c.ResetCounters()
-	loaded, evicted, loads, evs = c.Counters()
-	if loaded != 0 || evicted != 0 || loads != 0 || evs != 0 {
-		t.Error("ResetCounters did not zero")
-	}
-	if c.Used() != 20 {
-		t.Error("ResetCounters touched residency")
-	}
 }
 
 // Property: any sequence of random inserts/evicts/pins keeps invariants.
@@ -216,7 +204,7 @@ func TestQuickInvariants(t *testing.T) {
 			case 1:
 				_ = c.Evict(f)
 			case 2:
-				_ = c.Pin(f)
+				_ = c.PinBundle(bundle.New(f))
 			case 3:
 				_ = c.Unpin(f)
 			}
@@ -251,7 +239,7 @@ func TestResidencyBitsetMatchesSizeTable(t *testing.T) {
 			case 2:
 				_ = c.Evict(f)
 			case 3:
-				_ = c.Pin(f)
+				_ = c.PinBundle(bundle.New(f))
 			case 4:
 				_ = c.Unpin(f)
 			}

@@ -64,9 +64,6 @@ func New(totalCapacity bundle.Size, numNodes int, sizeOf bundle.SizeFunc, mk pol
 	return s, nil
 }
 
-// NumNodes reports the cluster size.
-func (s *Sharded) NumNodes() int { return len(s.nodes) }
-
 // Node exposes one node's policy (for inspection).
 func (s *Sharded) Node(i int) policy.Policy { return s.nodes[i] }
 

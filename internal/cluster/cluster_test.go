@@ -31,8 +31,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumNodes() != 4 {
-		t.Errorf("NumNodes = %d", s.NumNodes())
+	if len(s.nodes) != 4 {
+		t.Errorf("nodes = %d", len(s.nodes))
 	}
 	if s.Node(0).Cache().Capacity() != 25 {
 		t.Errorf("per-node capacity = %d, want 25", s.Node(0).Cache().Capacity())

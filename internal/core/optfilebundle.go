@@ -33,12 +33,6 @@ type Options struct {
 	// non-keep files leave only until enough space is free, lowest file
 	// degree first.
 	LiteralEvict bool
-	// DecayEvery, when > 0, ages the history every N admissions by
-	// multiplying all request values by DecayFactor (default 0.5), dropping
-	// entries below 0.01. The paper's counters never forget; aging lets a
-	// long-running cache follow workload drift.
-	DecayEvery  int
-	DecayFactor float64
 }
 
 // DefaultOptions returns the shipped configuration: §5.3 cache-resident
@@ -147,7 +141,7 @@ func (p *OptFileBundle) SetTracer(t obs.Tracer) {
 }
 
 // emitAdmit publishes one AdmitEvent for res, stamped with the admission
-// ordinal (Admit bumps it via maybeDecay before returning).
+// ordinal.
 func (p *OptFileBundle) emitAdmit(res Result, files int) {
 	p.tracer.Admit(obs.AdmitEvent{
 		At:             float64(p.admissions),
@@ -170,12 +164,12 @@ func (p *OptFileBundle) History() *history.History { return p.hist }
 // most valuable historical requests for the remaining capacity via
 // OptCacheSelect, evicts accordingly, and loads the missing files.
 func (p *OptFileBundle) Admit(b bundle.Bundle) Result {
+	p.admissions++
 	res := Result{BytesRequested: b.TotalSize(p.sizeOf)}
 
 	if res.BytesRequested > p.cache.Capacity() {
 		res.Unserviceable = true
 		p.hist.Observe(b) // the request still informs popularity
-		p.maybeDecay()
 		if p.tracer != nil {
 			p.emitAdmit(res, len(b))
 		}
@@ -185,7 +179,6 @@ func (p *OptFileBundle) Admit(b bundle.Bundle) Result {
 	if p.cache.Supports(b) {
 		res.Hit = true
 		p.hist.Observe(b)
-		p.maybeDecay()
 		if p.tracer != nil {
 			p.emitAdmit(res, len(b))
 		}
@@ -245,24 +238,10 @@ func (p *OptFileBundle) Admit(b bundle.Bundle) Result {
 
 	// Step 4: update L(R) after the replacement decision, as printed.
 	p.hist.Observe(b)
-	p.maybeDecay()
 	if p.tracer != nil {
 		p.emitAdmit(res, len(b))
 	}
 	return res
-}
-
-// maybeDecay ages the history on the configured cadence.
-func (p *OptFileBundle) maybeDecay() {
-	p.admissions++
-	if p.opts.DecayEvery <= 0 || p.admissions%int64(p.opts.DecayEvery) != 0 {
-		return
-	}
-	factor := p.opts.DecayFactor
-	if factor <= 0 || factor > 1 {
-		factor = 0.5
-	}
-	p.hist.Decay(factor, 0.01)
 }
 
 // replace frees space for an incoming bundle b whose missing files need
@@ -361,7 +340,7 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
 	p.candScratch = cands
 	opts := SelectOptions{
 		SizeOf:   p.sizeOf,
-		DegreeOf: p.hist.CandidateDegreeFunc(entries),
+		DegreeOf: p.hist.DegreeFunc(),
 		Resort:   true,
 		Free:     b,
 	}
@@ -373,10 +352,8 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
 		sel = selectScratch(&p.selScratch, cands, budget, opts)
 	}
 	if p.tracer != nil {
-		// maybeDecay has not bumped the ordinal yet for this admission;
-		// +1 keeps the round and its AdmitEvent on the same stamp.
 		p.tracer.SelectRound(obs.SelectRoundEvent{
-			At:           float64(p.admissions + 1),
+			At:           float64(p.admissions),
 			Candidates:   len(cands),
 			Chosen:       len(sel.Chosen),
 			Files:        len(sel.Files),

@@ -306,26 +306,3 @@ func TestRelativeValueSemantics(t *testing.T) {
 		t.Errorf("hot %v not above cold %v", hot, cold)
 	}
 }
-
-func TestValueDecayTracksWorkloadDrift(t *testing.T) {
-	// Phase 1 makes {1,2} hot; phase 2 shifts to {3,4}. With aggressive
-	// aging the history forgets phase 1 so the stale entry stops dominating
-	// selection values.
-	p := New(4, unitSize, Options{DecayEvery: 10, DecayFactor: 0.1})
-	for i := 0; i < 50; i++ {
-		p.Admit(bundle.New(1, 2))
-	}
-	for i := 0; i < 50; i++ {
-		p.Admit(bundle.New(3, 4))
-	}
-	hot, okHot := p.History().Lookup(bundle.New(3, 4))
-	if !okHot {
-		t.Fatal("current bundle not in history")
-	}
-	if stale, ok := p.History().Lookup(bundle.New(1, 2)); ok && stale.Value >= hot.Value {
-		t.Errorf("stale value %v >= hot value %v despite decay", stale.Value, hot.Value)
-	}
-	if err := p.Cache().CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}

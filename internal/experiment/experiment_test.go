@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -330,4 +331,23 @@ func mean(vals []float64) float64 {
 		total += v
 	}
 	return total / float64(len(vals))
+}
+
+// SeriesValues extracts one named series of t as a slice.
+func (t *Table) SeriesValues(name string) ([]float64, error) {
+	idx := -1
+	for i, s := range t.Series {
+		if s == name {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 {
+		return nil, fmt.Errorf("experiment: table %s has no series %q", t.ID, name)
+	}
+	out := make([]float64, len(t.Rows))
+	for i, r := range t.Rows {
+		out[i] = r.Values[idx]
+	}
+	return out, nil
 }

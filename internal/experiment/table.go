@@ -143,22 +143,3 @@ func csvEscape(s string) string {
 	}
 	return s
 }
-
-// SeriesValues extracts one named series as a slice, for tests.
-func (t *Table) SeriesValues(name string) ([]float64, error) {
-	idx := -1
-	for i, s := range t.Series {
-		if s == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("experiment: table %s has no series %q", t.ID, name)
-	}
-	out := make([]float64, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = r.Values[idx]
-	}
-	return out, nil
-}

@@ -192,9 +192,6 @@ func (sc Scenario) Validate() error {
 type Injector struct {
 	sc  Scenario
 	rng *rand.Rand
-
-	draws    int64
-	failures int64
 }
 
 // NewInjector validates sc, fills defaults (retry policy, MaxJobAttempts)
@@ -367,16 +364,8 @@ func (in *Injector) TransferFails() bool {
 	if in.sc.TransferFailureProb <= 0 {
 		return false
 	}
-	in.draws++
-	if in.rng.Float64() < in.sc.TransferFailureProb {
-		in.failures++
-		return true
-	}
-	return false
+	return in.rng.Float64() < in.sc.TransferFailureProb
 }
-
-// Draws reports the number of transfer-failure trials and how many failed.
-func (in *Injector) Draws() (draws, failures int64) { return in.draws, in.failures }
 
 // DowntimeSeconds reports how long the site was unusable (MSS outage or
 // link down, overlaps not double-counted) within [0, horizon].

@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -33,8 +34,8 @@ func TestZeroScenarioIsNoFaults(t *testing.T) {
 			t.Fatal("zero-probability transfer failed")
 		}
 	}
-	if draws, failures := in.Draws(); draws != 0 || failures != 0 {
-		t.Errorf("zero-probability scenario consumed RNG draws: %d/%d", draws, failures)
+	if got, want := in.rng.Float64(), rand.New(rand.NewSource(0)).Float64(); got != want {
+		t.Error("zero-probability scenario consumed RNG draws")
 	}
 	if in.Retry().MaxAttempts != DefaultRetryPolicy().MaxAttempts {
 		t.Errorf("zero retry policy not defaulted: %+v", in.Retry())
@@ -91,20 +92,18 @@ func TestSlowdownCompounds(t *testing.T) {
 func TestTransferFailsDeterministic(t *testing.T) {
 	sc := Scenario{Seed: 7, TransferFailureProb: 0.3}
 	a, b := mustInjector(t, sc), mustInjector(t, sc)
-	sawFailure := false
+	failures := 0
 	for i := 0; i < 500; i++ {
 		fa, fb := a.TransferFails(), b.TransferFails()
 		if fa != fb {
 			t.Fatalf("draw %d diverges between same-seed injectors", i)
 		}
-		sawFailure = sawFailure || fa
+		if fa {
+			failures++
+		}
 	}
-	if !sawFailure {
-		t.Error("probability 0.3 produced no failures in 500 draws")
-	}
-	draws, failures := a.Draws()
-	if draws != 500 || failures == 0 || failures == 500 {
-		t.Errorf("draws=%d failures=%d", draws, failures)
+	if failures == 0 || failures == 500 {
+		t.Errorf("probability 0.3 failed %d of 500 draws", failures)
 	}
 }
 
@@ -171,5 +170,112 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := NewInjector(Scenario{TransferFailureProb: 0.5, StageBudgetSec: 100, MaxJobAttempts: 3}); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
+	}
+}
+
+func TestNextUpOverlappingAndAbuttingWindows(t *testing.T) {
+	in, err := NewInjector(Scenario{Sites: map[int]SiteFaults{
+		0: {
+			// Overlapping outages [10,30) and [20,50); an abutting link-down
+			// [50,60) extends the dark span without a gap.
+			Outages:  []Window{{Start: 10, End: 30}, {Start: 20, End: 50}},
+			LinkDown: []Window{{Start: 50, End: 60}},
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// nextClear must chase through the chain regardless of which window t
+	// lands in first.
+	for _, at := range []float64{10, 15, 25, 49, 50, 59} {
+		if up := in.NextUp(0, at); up != 60 {
+			t.Errorf("NextUp(%v) = %v, want 60 across the merged chain", at, up)
+		}
+	}
+	if up := in.NextUp(0, 60); up != 60 {
+		t.Errorf("NextUp at the boundary = %v, want 60 (half-open windows)", up)
+	}
+	if up := in.NextUp(0, 5); up != 5 {
+		t.Errorf("NextUp before the chain = %v, want 5", up)
+	}
+	// SiteNextUp only consults MSS outages: link-down alone does not hold it.
+	if up := in.SiteNextUp(0, 55); up != 55 {
+		t.Errorf("SiteNextUp inside link-down = %v, want 55", up)
+	}
+
+	// The merged unusable view joins all three into one interval.
+	want := []Window{{Start: 10, End: 60}}
+	if got := in.UnusableWindows(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("UnusableWindows = %v, want %v", got, want)
+	}
+}
+
+func TestNextUpNeverUpSentinel(t *testing.T) {
+	// End = +Inf models a site that left the grid for good: NextUp must
+	// return the +Inf sentinel, not a schedulable instant.
+	in, err := NewInjector(Scenario{Sites: map[int]SiteFaults{
+		3: {Outages: []Window{{Start: 100, End: math.Inf(1)}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up := in.NextUp(3, 150); !math.IsInf(up, 1) {
+		t.Errorf("NextUp inside a terminal outage = %v, want +Inf", up)
+	}
+	if up := in.NextUp(3, 50); up != 50 {
+		t.Errorf("NextUp before the terminal outage = %v, want 50", up)
+	}
+	if !in.Up(3, 50) || in.Up(3, 1e12) {
+		t.Error("Up disagrees with the terminal window")
+	}
+	// The infinite window flows through the merged schedule too.
+	if ws := in.UnusableWindows(3); len(ws) != 1 || !math.IsInf(ws[0].End, 1) {
+		t.Errorf("UnusableWindows = %v, want one terminal window", ws)
+	}
+}
+
+func TestDowntimeClippedAtHorizon(t *testing.T) {
+	in, err := NewInjector(Scenario{Sites: map[int]SiteFaults{
+		0: {Outages: []Window{{Start: -10, End: 5}, {Start: 90, End: 200}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// [-10,5) clips to [0,5) = 5s; [90,200) clips to [90,100) = 10s.
+	if d := in.DowntimeSeconds(0, 100); d != 15 {
+		t.Errorf("clipped downtime = %v, want 15", d)
+	}
+	if d := in.DowntimeSeconds(0, 0); d != 0 {
+		t.Errorf("zero-horizon downtime = %v", d)
+	}
+}
+
+func TestDownWithin(t *testing.T) {
+	in, err := NewInjector(Scenario{Sites: map[int]SiteFaults{
+		1: {Outages: []Window{{Start: 100, End: 150}}},
+		2: {LinkDown: []Window{{Start: 40, End: 60}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		site          int
+		from, horizon float64
+		want          bool
+	}{
+		{1, 0, 50, false},                                          // horizon ends at 50, outage starts at 100
+		{1, 0, 150, true},                                          // lookahead reaches into the outage
+		{1, 60, 41, true},                                          // [60,101) clips the outage's first second
+		{1, 60, 40, false},                                         // [60,100) stops just short (half-open)
+		{1, 120, 10, true},                                         // already inside the outage
+		{1, 150, 1000, false} /* outage over */, {2, 30, 15, true}, // link-down counts as down
+		{2, 45, 0, true},  // zero horizon degrades to !Up(from)
+		{2, 65, 0, false}, // after the window, zero horizon, up
+	}
+	for _, c := range cases {
+		if got := in.DownWithin(c.site, c.from, c.horizon); got != c.want {
+			t.Errorf("DownWithin(site=%d, from=%v, horizon=%v) = %v, want %v",
+				c.site, c.from, c.horizon, got, c.want)
+		}
 	}
 }

@@ -46,20 +46,10 @@ func AlmostZero(x float64) bool {
 	return math.Abs(x) <= Epsilon
 }
 
-// AlmostZeroTol is AlmostZero with an explicit tolerance.
-func AlmostZeroTol(x, tol float64) bool {
-	return math.Abs(x) <= tol
-}
-
 // Less reports whether a is smaller than b by more than Epsilon — i.e. the
 // two are distinguishable and a ranks strictly below b. Use it in
 // comparators whose secondary tie-break keys must engage whenever the
 // primary float keys are equal up to round-off.
 func Less(a, b float64) bool {
 	return a < b && !AlmostEqual(a, b)
-}
-
-// Greater reports whether a is larger than b by more than Epsilon.
-func Greater(a, b float64) bool {
-	return a > b && !AlmostEqual(a, b)
 }

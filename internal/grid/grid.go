@@ -201,17 +201,11 @@ type Source struct {
 	Cost float64
 }
 
-// RankedSources returns the reachable replica sites of f ordered
-// cheapest-first — the failover walk order when a transfer keeps failing.
-// Unreachable replicas (no link) are omitted; cost ties keep registration
-// order, so the first element is exactly BestSource's pick.
-func (r *Replicas) RankedSources(t *Topology, f bundle.FileID, size bundle.Size) []Source {
-	return r.AppendRankedSources(nil, t, f, size)
-}
-
-// AppendRankedSources appends RankedSources' result to dst and returns the
-// extended slice; dst's existing elements are left untouched, so a caller
-// ranking once per file reuses one buffer. Each source is sunk into place
+// AppendRankedSources appends the reachable replica sites of f to dst,
+// ordered cheapest-first — the failover walk order when a transfer keeps
+// failing — and returns the extended slice. Unreachable replicas (no link)
+// are omitted; cost ties keep registration order. dst's existing elements
+// are left untouched, so a caller ranking once per file reuses one buffer. Each source is sunk into place
 // as it is appended — an online stable insertion sort. Up to 20 sources
 // that is exactly what sort.SliceStable runs (it insertion-sorts blocks of
 // 20), and for any count a stable sort by cost has one result, so the
@@ -231,31 +225,4 @@ func (r *Replicas) AppendRankedSources(dst []Source, t *Topology, f bundle.FileI
 		}
 	}
 	return dst
-}
-
-// BestSource picks the replica site with the lowest transfer cost to the
-// local cache. ok is false when no replica is registered or reachable.
-func (r *Replicas) BestSource(t *Topology, f bundle.FileID, size bundle.Size) (SiteID, float64, bool) {
-	ranked := r.RankedSources(t, f, size)
-	if len(ranked) == 0 {
-		return 0, 0, false
-	}
-	return ranked[0].Site, ranked[0].Cost, true
-}
-
-// StageBundleCost sums the best-replica transfer costs of all files of b,
-// and reports the bottleneck (max single-file) cost; files without replicas
-// yield an error.
-func (r *Replicas) StageBundleCost(t *Topology, b bundle.Bundle, sizeOf bundle.SizeFunc) (total, bottleneck float64, err error) {
-	for _, f := range b {
-		_, c, ok := r.BestSource(t, f, sizeOf(f))
-		if !ok {
-			return 0, 0, fmt.Errorf("grid: no reachable replica for file %d", f)
-		}
-		total += c
-		if c > bottleneck {
-			bottleneck = c
-		}
-	}
-	return total, bottleneck, nil
 }

@@ -88,24 +88,35 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
+// bestSource is the cheapest reachable replica of f, the first element
+// AppendRankedSources ranks. ok is false when no replica is registered or
+// reachable.
+func bestSource(r *Replicas, t *Topology, f bundle.FileID, size bundle.Size) (SiteID, float64, bool) {
+	ranked := r.AppendRankedSources(nil, t, f, size)
+	if len(ranked) == 0 {
+		return 0, 0, false
+	}
+	return ranked[0].Site, ranked[0].Cost, true
+}
+
 func TestReplicaSelection(t *testing.T) {
 	topo, cern, slac := buildTopo(t)
 	reps := NewReplicas()
 	f := bundle.FileID(7)
 	// No replicas yet.
-	if _, _, ok := reps.BestSource(topo, f, 100); ok {
-		t.Error("BestSource found phantom replica")
+	if _, _, ok := bestSource(reps, topo, f, 100); ok {
+		t.Error("bestSource found phantom replica")
 	}
 	reps.Add(f, cern)
-	site, cost, ok := reps.BestSource(topo, f, 100)
+	site, cost, ok := bestSource(reps, topo, f, 100)
 	if !ok || site != cern || math.Abs(cost-10) > 1e-12 {
-		t.Errorf("BestSource = %v %v %v", site, cost, ok)
+		t.Errorf("bestSource = %v %v %v", site, cost, ok)
 	}
 	// A local replica beats CERN.
 	reps.Add(f, topo.Local())
-	site, cost, ok = reps.BestSource(topo, f, 100)
+	site, cost, ok = bestSource(reps, topo, f, 100)
 	if !ok || site != topo.Local() || math.Abs(cost-2) > 1e-12 {
-		t.Errorf("BestSource with local = %v %v %v", site, cost, ok)
+		t.Errorf("bestSource with local = %v %v %v", site, cost, ok)
 	}
 	// Idempotent Add.
 	reps.Add(f, cern)
@@ -115,7 +126,7 @@ func TestReplicaSelection(t *testing.T) {
 	// Unreachable-only replica: not ok.
 	g := bundle.FileID(8)
 	reps.Add(g, slac)
-	if _, _, ok := reps.BestSource(topo, g, 100); ok {
+	if _, _, ok := bestSource(reps, topo, g, 100); ok {
 		t.Error("unreachable replica returned ok")
 	}
 }
@@ -139,8 +150,8 @@ func TestSitesReturnsCopy(t *testing.T) {
 	if again := reps.Sites(f); again[0] != cern || again[1] != slac {
 		t.Fatalf("catalog mutated through Sites' return value: %v", again)
 	}
-	if _, _, ok := reps.BestSource(topo, f, 100); !ok {
-		t.Fatal("BestSource broken after caller scribbled on Sites' return")
+	if _, _, ok := bestSource(reps, topo, f, 100); !ok {
+		t.Fatal("bestSource broken after caller scribbled on Sites' return")
 	}
 	if reps.Sites(bundle.FileID(404)) != nil {
 		t.Error("unknown file should return nil")
@@ -157,7 +168,7 @@ func TestRankedSources(t *testing.T) {
 	reps.Add(f, slac)
 	reps.Add(f, topo.Local())
 
-	ranked := reps.RankedSources(topo, f, 100)
+	ranked := reps.AppendRankedSources(nil, topo, f, 100)
 	if len(ranked) != 2 {
 		t.Fatalf("RankedSources = %v, want 2 reachable sources", ranked)
 	}
@@ -168,14 +179,7 @@ func TestRankedSources(t *testing.T) {
 		t.Errorf("second = %+v, want cern @10", ranked[1])
 	}
 
-	// The first ranked source and BestSource must always agree (failover
-	// starts exactly where the fault-free path would have fetched).
-	site, cost, ok := reps.BestSource(topo, f, 100)
-	if !ok || site != ranked[0].Site || cost != ranked[0].Cost {
-		t.Errorf("BestSource %v@%v disagrees with RankedSources[0] %+v", site, cost, ranked[0])
-	}
-
-	if got := reps.RankedSources(topo, bundle.FileID(404), 100); len(got) != 0 {
+	if got := reps.AppendRankedSources(nil, topo, bundle.FileID(404), 100); len(got) != 0 {
 		t.Errorf("unknown file ranked = %v", got)
 	}
 }
@@ -203,28 +207,9 @@ func TestRankedSourcesTieOrder(t *testing.T) {
 	f := bundle.FileID(1)
 	reps.Add(f, twins[1]) // register b first
 	reps.Add(f, twins[0])
-	ranked := reps.RankedSources(topo, f, 100)
+	ranked := reps.AppendRankedSources(nil, topo, f, 100)
 	if len(ranked) != 2 || ranked[0].Site != twins[1] {
 		t.Errorf("tie-break lost registration order: %+v", ranked)
-	}
-}
-
-func TestStageBundleCost(t *testing.T) {
-	topo, cern, _ := buildTopo(t)
-	reps := NewReplicas()
-	sizeOf := func(bundle.FileID) bundle.Size { return 100 }
-	reps.Add(1, topo.Local()) // cost 2
-	reps.Add(2, cern)         // cost 10
-	total, bottleneck, err := reps.StageBundleCost(topo, bundle.New(1, 2), sizeOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(total-12) > 1e-12 || math.Abs(bottleneck-10) > 1e-12 {
-		t.Errorf("total=%v bottleneck=%v", total, bottleneck)
-	}
-	// Missing replica -> error.
-	if _, _, err := reps.StageBundleCost(topo, bundle.New(1, 3), sizeOf); err == nil {
-		t.Error("missing replica accepted")
 	}
 }
 
@@ -314,7 +299,7 @@ func TestAppendRankedSourcesMatchesSliceStable(t *testing.T) {
 			reps.Add(f, topo.Local())
 		}
 		check("random", reps, f, nil)
-		if got, want := reps.RankedSources(topo, f, 100), rankedStable(reps, topo, f, 100); !reflect.DeepEqual(got, want) {
+		if got, want := reps.AppendRankedSources(nil, topo, f, 100), rankedStable(reps, topo, f, 100); !reflect.DeepEqual(got, want) {
 			t.Errorf("RankedSources %v, SliceStable %v", got, want)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"slices"
 
 	"fbcache/internal/bundle"
-	"fbcache/internal/floats"
 )
 
 // Entry is one distinct request in the history.
@@ -23,7 +22,6 @@ type Entry struct {
 	Bundle   bundle.Bundle
 	Value    float64 // v(r): popularity counter or externally supplied weight
 	LastSeen uint64  // logical time of most recent observation
-	Seen     int64   // number of observations
 }
 
 // Truncation selects which history entries are offered to the selection
@@ -35,8 +33,6 @@ const (
 	Full Truncation = iota
 	// Window offers only the Limit most-recently-seen distinct requests.
 	Window
-	// TopValue offers only the Limit highest-value distinct requests.
-	TopValue
 	// CacheResident restricts candidates to requests currently supported by
 	// the cache — the paper's §5.3 choice ("subsequent simulations were run
 	// using only the truncated history limited to the requests in the
@@ -52,8 +48,6 @@ func (t Truncation) String() string {
 		return "full"
 	case Window:
 		return "window"
-	case TopValue:
-		return "top-value"
 	case CacheResident:
 		return "cache-resident"
 	}
@@ -63,12 +57,9 @@ func (t Truncation) String() string {
 // Config controls History behaviour.
 type Config struct {
 	Truncation Truncation
-	// Limit bounds the candidate set for Window/TopValue. <= 0 means no bound.
+	// Limit bounds the candidate set under Window; the other truncations
+	// ignore it. <= 0 means no bound.
 	Limit int
-	// LocalDegrees, if set, computes file degrees over the truncated candidate
-	// set instead of the global history. The paper uses global degrees; this
-	// switch exists for the ablation study (DESIGN.md §4.1).
-	LocalDegrees bool
 }
 
 // History is the L(R) structure. It is not safe for concurrent use; wrap it
@@ -76,7 +67,7 @@ type Config struct {
 type History struct {
 	cfg     Config
 	entries map[string]*Entry
-	order   []*Entry // insertion/recency bookkeeping for Window truncation
+	order   []*Entry // every entry in insertion order; append-only
 	clock   uint64
 
 	// degree is d(f) stored densely, indexed by FileID. Catalog IDs are
@@ -88,12 +79,10 @@ type History struct {
 
 	// keyBuf is the scratch key buffer: lookups probe entries with
 	// string(keyBuf) (a no-copy map access), and only inserts materialize
-	// the string. dropScratch backs Decay's forget list. degFn is the one
-	// DegreeFunc closure, built once so per-admission callers do not
-	// allocate a fresh closure per call.
-	keyBuf      []byte
-	dropScratch []bundle.Bundle
-	degFn       func(bundle.FileID) int
+	// the string. degFn is the one DegreeFunc closure, built once so
+	// per-admission callers do not allocate a fresh closure per call.
+	keyBuf []byte
+	degFn  func(bundle.FileID) int
 }
 
 // New returns an empty history with the given configuration.
@@ -131,11 +120,10 @@ func (h *History) ObserveValued(b bundle.Bundle, delta float64) *Entry {
 		h.entries[string(h.keyBuf)] = e
 		h.order = append(h.order, e)
 		for _, f := range e.Bundle {
-			h.degreeAdd(f, 1)
+			h.degreeInc(f)
 		}
 	}
 	e.Value += delta
-	e.Seen++
 	e.LastSeen = h.clock
 	return e
 }
@@ -150,29 +138,14 @@ func (h *History) Lookup(b bundle.Bundle) (*Entry, bool) {
 // Len reports the number of distinct requests recorded.
 func (h *History) Len() int { return len(h.entries) }
 
-// Clock reports the logical time (total observations).
-func (h *History) Clock() uint64 { return h.clock }
-
-// Degree reports d(f): the number of distinct historical requests using f.
-// Files never seen have degree 0.
-func (h *History) Degree(f bundle.FileID) int {
-	if i := int(f); i < len(h.degree) {
-		return int(h.degree[i])
-	}
-	return 0
-}
-
-// degreeAdd adjusts d(f) by delta, growing the dense table on first sight of
-// a new FileID and clamping at zero so an unmatched Forget cannot drive a
-// degree negative.
-func (h *History) degreeAdd(f bundle.FileID, delta int32) {
+// degreeInc adds one to d(f), growing the dense table on first sight of a
+// new FileID. Entries are never removed, so degrees only grow.
+func (h *History) degreeInc(f bundle.FileID) {
 	i := int(f)
 	if i >= len(h.degree) {
 		h.degree = append(h.degree, make([]int32, i+1-len(h.degree))...)
 	}
-	if h.degree[i] += delta; h.degree[i] < 0 {
-		h.degree[i] = 0
-	}
+	h.degree[i]++
 }
 
 // DegreeFunc returns the degree lookup as a closure, with a floor of 1 so the
@@ -196,8 +169,10 @@ func (h *History) MaxDegree() int {
 }
 
 // Candidates returns the entries offered to the selection algorithm under
-// the configured truncation, in unspecified order. The returned slice is
-// freshly allocated; entries are shared (do not mutate).
+// the configured truncation: every entry in first-seen order, or, for a
+// Window shorter than the history, the Limit most recently seen, newest
+// first. The returned slice is freshly allocated; entries are shared (do not
+// mutate).
 func (h *History) Candidates() []*Entry {
 	return h.CandidatesAppend(make([]*Entry, 0, len(h.order)))
 }
@@ -211,117 +186,21 @@ func (h *History) CandidatesAppend(dst []*Entry) []*Entry {
 	dst = append(dst, h.order...)
 	all := dst[n:]
 	limit := h.cfg.Limit
-	if limit <= 0 || limit >= len(all) || h.cfg.Truncation == Full {
+	if h.cfg.Truncation != Window || limit <= 0 || limit >= len(all) {
 		return dst
 	}
-	switch h.cfg.Truncation {
-	case Window:
-		// slices.SortFunc, not sort.Slice: the reflection-based swapper
-		// allocates per admission. LastSeen is unique (one clock tick per
-		// observation), so the comparator is total and the sort's
-		// instability cannot reorder equals.
-		slices.SortFunc(all, func(a, b *Entry) int {
-			switch {
-			case a.LastSeen > b.LastSeen:
-				return -1
-			case a.LastSeen < b.LastSeen:
-				return 1
-			}
-			return 0
-		})
-	case TopValue:
-		slices.SortFunc(all, func(a, b *Entry) int {
-			// Decay multiplies values, so equal popularities can differ by
-			// round-off; epsilon-compare so recency decides genuine ties
-			// (LastSeen is unique, making the order total).
-			if !floats.AlmostEqual(a.Value, b.Value) {
-				if a.Value > b.Value {
-					return -1
-				}
-				return 1
-			}
-			switch {
-			case a.LastSeen > b.LastSeen:
-				return -1
-			case a.LastSeen < b.LastSeen:
-				return 1
-			}
-			return 0
-		})
-	}
+	// slices.SortFunc, not sort.Slice: the reflection-based swapper
+	// allocates per admission. LastSeen is unique (one clock tick per
+	// observation), so the comparator is total and the sort's instability
+	// cannot reorder equals.
+	slices.SortFunc(all, func(a, b *Entry) int {
+		switch {
+		case a.LastSeen > b.LastSeen:
+			return -1
+		case a.LastSeen < b.LastSeen:
+			return 1
+		}
+		return 0
+	})
 	return dst[:n+limit]
-}
-
-// CandidateDegreeFunc returns the degree function the selection algorithm
-// should use: global degrees (the paper's choice) or degrees recomputed over
-// the truncated candidate set when LocalDegrees is set.
-func (h *History) CandidateDegreeFunc(candidates []*Entry) func(bundle.FileID) int {
-	if !h.cfg.LocalDegrees {
-		return h.DegreeFunc()
-	}
-	local := make(map[bundle.FileID]int)
-	for _, e := range candidates {
-		for _, f := range e.Bundle {
-			local[f]++
-		}
-	}
-	return func(f bundle.FileID) int {
-		if d := local[f]; d > 0 {
-			return d
-		}
-		return 1
-	}
-}
-
-// Decay multiplies every request value by factor (0 < factor <= 1),
-// implementing exponential aging of popularity. The paper's v(r) is a raw
-// counter, which never forgets; a production SRM running for months needs
-// old hot spots to fade so the cache can track workload drift. Entries
-// whose value falls below floor are forgotten entirely (degrees updated).
-func (h *History) Decay(factor, floor float64) {
-	if factor <= 0 || factor > 1 {
-		panic(fmt.Sprintf("history: decay factor %v outside (0,1]", factor))
-	}
-	drop := h.dropScratch[:0]
-	// Walk the order slice, not the entries map: the forget sequence below
-	// edits h.order, so it must not depend on map iteration order.
-	for _, e := range h.order {
-		e.Value *= factor
-		if e.Value < floor {
-			drop = append(drop, e.Bundle)
-		}
-	}
-	for _, b := range drop {
-		h.Forget(b)
-	}
-	h.dropScratch = drop[:0]
-}
-
-// Forget removes b from the history entirely, decrementing file degrees.
-// It reports whether the entry existed. Used by bounded-memory deployments.
-func (h *History) Forget(b bundle.Bundle) bool {
-	h.keyBuf = b.AppendKey(h.keyBuf[:0])
-	e, ok := h.entries[string(h.keyBuf)]
-	if !ok {
-		return false
-	}
-	delete(h.entries, string(h.keyBuf))
-	for _, f := range e.Bundle {
-		h.degreeAdd(f, -1)
-	}
-	for i, o := range h.order {
-		if o == e {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Reset clears all state.
-func (h *History) Reset() {
-	h.entries = make(map[string]*Entry)
-	clear(h.degree)
-	h.order = h.order[:0]
-	h.clock = 0
 }

@@ -11,21 +11,21 @@ func TestObserveAccumulatesValue(t *testing.T) {
 	h := New(Config{})
 	b := bundle.New(1, 2, 3)
 	e1 := h.Observe(b)
-	if e1.Value != 1 || e1.Seen != 1 {
-		t.Fatalf("first observe: value=%v seen=%d", e1.Value, e1.Seen)
+	if e1.Value != 1 {
+		t.Fatalf("first observe: value=%v", e1.Value)
 	}
 	e2 := h.Observe(bundle.New(3, 2, 1)) // same canonical bundle
 	if e1 != e2 {
 		t.Fatal("equal bundles created distinct entries")
 	}
-	if e2.Value != 2 || e2.Seen != 2 {
-		t.Errorf("second observe: value=%v seen=%d", e2.Value, e2.Seen)
+	if e2.Value != 2 {
+		t.Errorf("second observe: value=%v", e2.Value)
 	}
 	if h.Len() != 1 {
 		t.Errorf("Len = %d", h.Len())
 	}
-	if h.Clock() != 2 {
-		t.Errorf("Clock = %d", h.Clock())
+	if e2.LastSeen != 2 {
+		t.Errorf("LastSeen = %d, want 2", e2.LastSeen)
 	}
 }
 
@@ -38,6 +38,15 @@ func TestObserveValued(t *testing.T) {
 	}
 }
 
+// degree reads d(f) from the dense table: 0 for a file never seen, where
+// DegreeFunc floors at 1.
+func degree(h *History, f bundle.FileID) int {
+	if int(f) < len(h.degree) {
+		return int(h.degree[f])
+	}
+	return 0
+}
+
 func TestDegrees(t *testing.T) {
 	h := New(Config{})
 	h.Observe(bundle.New(1, 2))
@@ -47,12 +56,9 @@ func TestDegrees(t *testing.T) {
 
 	wantDeg := map[bundle.FileID]int{1: 1, 2: 2, 3: 2}
 	for f, w := range wantDeg {
-		if got := h.Degree(f); got != w {
+		if got := degree(h, f); got != w {
 			t.Errorf("Degree(%d) = %d, want %d", f, got, w)
 		}
-	}
-	if got := h.Degree(99); got != 0 {
-		t.Errorf("Degree(unseen) = %d", got)
 	}
 	df := h.DegreeFunc()
 	if df(99) != 1 {
@@ -73,7 +79,7 @@ func TestPaperExampleDegrees(t *testing.T) {
 	}
 	want := map[bundle.FileID]int{1: 2, 2: 1, 3: 2, 4: 2, 5: 4, 6: 3, 7: 3}
 	for f, w := range want {
-		if got := h.Degree(f); got != w {
+		if got := degree(h, f); got != w {
 			t.Errorf("Degree(f%d) = %d, want %d", f, got, w)
 		}
 	}
@@ -82,13 +88,16 @@ func TestPaperExampleDegrees(t *testing.T) {
 	}
 }
 
+// Limit bounds only a Window: Full and CacheResident offer every entry.
 func TestCandidatesFull(t *testing.T) {
-	h := New(Config{Truncation: Full, Limit: 2})
-	h.Observe(bundle.New(1))
-	h.Observe(bundle.New(2))
-	h.Observe(bundle.New(3))
-	if got := len(h.Candidates()); got != 3 {
-		t.Errorf("Full truncation returned %d candidates, want 3", got)
+	for _, tr := range []Truncation{Full, CacheResident} {
+		h := New(Config{Truncation: tr, Limit: 2})
+		h.Observe(bundle.New(1))
+		h.Observe(bundle.New(2))
+		h.Observe(bundle.New(3))
+		if got := len(h.Candidates()); got != 3 {
+			t.Errorf("%v truncation returned %d candidates, want 3", tr, got)
+		}
 	}
 }
 
@@ -111,83 +120,6 @@ func TestCandidatesWindow(t *testing.T) {
 	}
 }
 
-func TestCandidatesTopValue(t *testing.T) {
-	h := New(Config{Truncation: TopValue, Limit: 2})
-	for i := 0; i < 5; i++ {
-		h.Observe(bundle.New(1)) // value 5
-	}
-	for i := 0; i < 3; i++ {
-		h.Observe(bundle.New(2)) // value 3
-	}
-	h.Observe(bundle.New(3)) // value 1
-	cands := h.Candidates()
-	if len(cands) != 2 {
-		t.Fatalf("top-value returned %d", len(cands))
-	}
-	if cands[0].Value < cands[1].Value {
-		t.Error("top-value not sorted descending")
-	}
-	if cands[0].Bundle.Key() != bundle.New(1).Key() {
-		t.Errorf("top candidate = %v", cands[0].Bundle)
-	}
-}
-
-func TestLocalDegrees(t *testing.T) {
-	h := New(Config{Truncation: Window, Limit: 1, LocalDegrees: true})
-	h.Observe(bundle.New(1, 2))
-	h.Observe(bundle.New(2, 3))
-	cands := h.Candidates() // only {2,3}
-	df := h.CandidateDegreeFunc(cands)
-	if df(2) != 1 {
-		t.Errorf("local degree(2) = %d, want 1", df(2))
-	}
-	// Global degrees still see both requests.
-	if h.Degree(2) != 2 {
-		t.Errorf("global degree(2) = %d, want 2", h.Degree(2))
-	}
-	// Without LocalDegrees the candidate degree func is global.
-	h2 := New(Config{Truncation: Window, Limit: 1})
-	h2.Observe(bundle.New(1, 2))
-	h2.Observe(bundle.New(2, 3))
-	df2 := h2.CandidateDegreeFunc(h2.Candidates())
-	if df2(2) != 2 {
-		t.Errorf("global candidate degree(2) = %d, want 2", df2(2))
-	}
-}
-
-func TestForget(t *testing.T) {
-	h := New(Config{})
-	h.Observe(bundle.New(1, 2))
-	h.Observe(bundle.New(2, 3))
-	if !h.Forget(bundle.New(1, 2)) {
-		t.Fatal("Forget returned false for existing entry")
-	}
-	if h.Forget(bundle.New(1, 2)) {
-		t.Error("Forget returned true for missing entry")
-	}
-	if h.Len() != 1 {
-		t.Errorf("Len = %d", h.Len())
-	}
-	if h.Degree(1) != 0 {
-		t.Errorf("Degree(1) = %d after forget", h.Degree(1))
-	}
-	if h.Degree(2) != 1 {
-		t.Errorf("Degree(2) = %d after forget", h.Degree(2))
-	}
-	if len(h.Candidates()) != 1 {
-		t.Errorf("Candidates = %d", len(h.Candidates()))
-	}
-}
-
-func TestReset(t *testing.T) {
-	h := New(Config{})
-	h.Observe(bundle.New(1, 2))
-	h.Reset()
-	if h.Len() != 0 || h.Clock() != 0 || h.Degree(1) != 0 || len(h.Candidates()) != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
 func TestLookup(t *testing.T) {
 	h := New(Config{})
 	h.Observe(bundle.New(4, 5))
@@ -201,7 +133,7 @@ func TestLookup(t *testing.T) {
 
 func TestTruncationString(t *testing.T) {
 	for tr, want := range map[Truncation]string{
-		Full: "full", Window: "window", TopValue: "top-value", Truncation(9): "Truncation(9)",
+		Full: "full", Window: "window", CacheResident: "cache-resident", Truncation(9): "Truncation(9)",
 	} {
 		if got := tr.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
@@ -226,7 +158,7 @@ func TestQuickDegreeConsistency(t *testing.T) {
 		}
 		sumDeg := 0
 		for f := bundle.FileID(0); f < 16; f++ {
-			sumDeg += h.Degree(f)
+			sumDeg += degree(h, f)
 		}
 		sumLen := 0
 		for _, e := range New(Config{}).Candidates() {
@@ -272,40 +204,5 @@ func BenchmarkObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(bundles[i%len(bundles)])
-	}
-}
-
-func TestDecay(t *testing.T) {
-	h := New(Config{})
-	for i := 0; i < 8; i++ {
-		h.Observe(bundle.New(1, 2))
-	}
-	h.Observe(bundle.New(3))
-	h.Decay(0.5, 0.6) // {1,2} -> 4; {3} -> 0.5 < 0.6 -> forgotten
-	if e, ok := h.Lookup(bundle.New(1, 2)); !ok || e.Value != 4 {
-		t.Errorf("entry = %+v, %v", e, ok)
-	}
-	if _, ok := h.Lookup(bundle.New(3)); ok {
-		t.Error("low-value entry survived decay")
-	}
-	if h.Degree(3) != 0 {
-		t.Errorf("degree(3) = %d after forget", h.Degree(3))
-	}
-	if h.Degree(1) != 1 {
-		t.Errorf("degree(1) = %d", h.Degree(1))
-	}
-}
-
-func TestDecayPanicsOnBadFactor(t *testing.T) {
-	h := New(Config{})
-	for _, f := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("factor %v did not panic", f)
-				}
-			}()
-			h.Decay(f, 0)
-		}()
 	}
 }

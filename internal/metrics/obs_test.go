@@ -89,10 +89,4 @@ func TestResilienceCopySemantics(t *testing.T) {
 	if agg.Retries != 5 || agg.Requeues != 2 {
 		t.Errorf("Add accumulated %+v", agg)
 	}
-	if agg.Zero() {
-		t.Error("non-empty aggregate reported Zero")
-	}
-	if !(Resilience{}).Zero() {
-		t.Error("empty Resilience not Zero")
-	}
 }

@@ -195,10 +195,6 @@ func (t *RecoveryTracker) ratio() float64 {
 	return float64(t.hits) / float64(t.filled)
 }
 
-// Ratio exposes the current windowed hit ratio, for callers reporting
-// post-outage health alongside the records.
-func (t *RecoveryTracker) Ratio() float64 { return t.ratio() }
-
 // Finish closes the measurement and returns one record per outage, sorted by
 // (Start, End, Site). Unrecovered outages carry Recovered=false and the
 // final windowed ratio in HitAtEnd; a baseline never frozen (the run ended

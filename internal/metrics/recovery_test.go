@@ -20,7 +20,7 @@ func TestRecoveryTrackerMeasuresDipAndReturn(t *testing.T) {
 	tr := NewRecoveryTracker([]Outage{{Site: 1, Start: 100, End: 120}}, 10, 0.05)
 	// Pre-outage: steady 80% hits -> baseline 0.8.
 	feed(tr, 0, 50, func(i int) bool { return i%5 != 0 })
-	if r := tr.Ratio(); math.Abs(r-0.8) > 1e-9 {
+	if r := tr.ratio(); math.Abs(r-0.8) > 1e-9 {
 		t.Fatalf("pre-outage ratio = %v", r)
 	}
 	// The outage delays misses: completions from 120 on are a miss burst.

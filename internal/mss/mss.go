@@ -130,19 +130,6 @@ func (s *System) Fetch(now float64, size bundle.Size) (finish float64) {
 	return finish
 }
 
-// FetchBundle schedules transfers for all files of b (sizes via sizeOf) and
-// returns the time by which every file has arrived — the staging time of a
-// file-bundle.
-func (s *System) FetchBundle(now float64, b bundle.Bundle, sizeOf bundle.SizeFunc) float64 {
-	finish := now
-	for _, f := range b {
-		if t := s.Fetch(now, sizeOf(f)); t > finish {
-			finish = t
-		}
-	}
-	return finish
-}
-
 // Stats reports cumulative transfer counts, bytes moved and channel-busy
 // seconds.
 func (s *System) Stats() (transfers int64, bytes bundle.Size, busySeconds float64) {

@@ -3,8 +3,6 @@ package mss
 import (
 	"math"
 	"testing"
-
-	"fbcache/internal/bundle"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -65,20 +63,6 @@ func TestFetchMultiChannelParallel(t *testing.T) {
 	}
 	if f3 != 4 {
 		t.Errorf("third fetch = %v, want 4 (queued)", f3)
-	}
-}
-
-func TestFetchBundleBottleneck(t *testing.T) {
-	s, _ := NewSystem(Config{Name: "b", LatencySec: 0, BandwidthBps: 1, Channels: 4})
-	sizeOf := func(f bundle.FileID) bundle.Size { return bundle.Size(f) }
-	// Files 1,2,3 take 1,2,3 seconds on separate channels: staging = 3.
-	finish := s.FetchBundle(0, bundle.New(1, 2, 3), sizeOf)
-	if finish != 3 {
-		t.Errorf("FetchBundle = %v, want 3", finish)
-	}
-	// Empty bundle stages instantly.
-	if got := s.FetchBundle(5, bundle.New(), sizeOf); got != 5 {
-		t.Errorf("empty bundle = %v, want 5", got)
 	}
 }
 

@@ -28,7 +28,7 @@ type DiffResult struct {
 	// (including one trace ending early); -1 when the event streams are
 	// identical. DivergeA/DivergeB hold the JSONL rendering of the
 	// diverging events, "" for the side that already ended.
-	FirstDiverge     int
+	FirstDiverge       int
 	DivergeA, DivergeB string
 
 	// Kinds lists per-kind event counts for both sides (sorted by kind,

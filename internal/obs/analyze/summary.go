@@ -53,10 +53,10 @@ type FileChurn struct {
 
 // WindowPoint is one point of the windowed hit-ratio curves.
 type WindowPoint struct {
-	Jobs          int // jobs served up to and including this window
-	HitRatio      float64
-	ByteHitRatio  float64
-	BytesLoaded   int64
+	Jobs           int // jobs served up to and including this window
+	HitRatio       float64
+	ByteHitRatio   float64
+	BytesLoaded    int64
 	BytesRequested int64
 }
 
@@ -107,7 +107,7 @@ func Summarize(events []traceio.Event, opts SummaryOptions) Summary {
 		"Jobs between consecutive evictions.", residencyBuckets())
 
 	policies := make(map[string]*PolicySummary)
-	loadedAt := make(map[int64]int)   // file -> jobs clock at load
+	loadedAt := make(map[int64]int) // file -> jobs clock at load
 	everLoaded := make(map[int64]bool)
 	churn := make(map[int64]*FileChurn)
 

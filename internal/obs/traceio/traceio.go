@@ -39,7 +39,7 @@ type Mode int
 const (
 	// Strict fails on the first malformed line, reporting its line number.
 	Strict Mode = iota
-	// Lenient skips malformed lines and counts them (Decoder.Skipped).
+	// Lenient skips malformed lines and counts them (ReadAll's skipped).
 	Lenient
 )
 
@@ -108,9 +108,6 @@ func (d *Decoder) Next() (Event, error) {
 // Line reports the number of lines consumed so far (1-based after the first
 // Next), for error attribution by callers doing their own validation.
 func (d *Decoder) Line() int { return d.line }
-
-// Skipped reports how many malformed lines a Lenient decoder has dropped.
-func (d *Decoder) Skipped() int { return d.skipped }
 
 func decodeLine(line []byte) (Event, error) {
 	var rec struct {

@@ -17,9 +17,6 @@ type Bypass struct {
 	inner   Policy
 	sizeOf  bundle.SizeFunc
 	maxSize bundle.Size
-
-	bypassedBytes bundle.Size
-	bypassedFiles int64
 }
 
 // NewBypass wraps inner; files with size > frac×capacity bypass the cache.
@@ -43,9 +40,6 @@ func (p *Bypass) Name() string { return p.inner.Name() + "+bypass" }
 
 // Cache implements Policy.
 func (p *Bypass) Cache() *cache.Cache { return p.inner.Cache() }
-
-// Bypassed reports cumulative pass-through traffic.
-func (p *Bypass) Bypassed() (bundle.Size, int64) { return p.bypassedBytes, p.bypassedFiles }
 
 // Admit implements Policy. Oversized files are charged as loaded bytes on
 // every request (they are re-transferred each time) but never enter the
@@ -71,8 +65,6 @@ func (p *Bypass) Admit(b bundle.Bundle) Result {
 	if passFiles > 0 {
 		res.Hit = false
 	}
-	p.bypassedBytes += passBytes
-	p.bypassedFiles += int64(passFiles)
 	return res
 }
 

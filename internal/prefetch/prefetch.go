@@ -115,9 +115,6 @@ type Prefetcher struct {
 	sizeOf bundle.SizeFunc
 	model  *Model
 	opts   Options
-
-	prefetchedBytes bundle.Size
-	prefetchedFiles int64
 }
 
 // Wrap builds a Prefetcher around inner.
@@ -142,11 +139,6 @@ func (p *Prefetcher) Cache() *cache.Cache { return p.inner.Cache() }
 
 // Model exposes the learned association model.
 func (p *Prefetcher) Model() *Model { return p.model }
-
-// Prefetched reports cumulative speculative traffic.
-func (p *Prefetcher) Prefetched() (bundle.Size, int64) {
-	return p.prefetchedBytes, p.prefetchedFiles
-}
 
 // Admit implements policy.Policy: learn, admit, then speculate into free
 // space.
@@ -179,8 +171,6 @@ func (p *Prefetcher) Admit(b bundle.Bundle) policy.Result {
 			res.BytesLoaded += specRes.BytesLoaded
 			res.FilesLoaded += specRes.FilesLoaded
 			res.Loaded = res.Loaded.Union(specRes.Loaded)
-			p.prefetchedBytes += specRes.BytesLoaded
-			p.prefetchedFiles += int64(specRes.FilesLoaded)
 			budget--
 		}
 	}

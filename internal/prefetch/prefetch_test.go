@@ -118,12 +118,8 @@ func TestPrefetcherAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := w.Admit(bundle.New(1)) // hit on 1, prefetches 2
-	total, files := w.Prefetched()
-	if total != 1 || files != 1 {
-		t.Errorf("prefetched = %d bytes / %d files", total, files)
-	}
-	if res.BytesLoaded != 1 {
-		t.Errorf("res.BytesLoaded = %d, want prefetch folded in", res.BytesLoaded)
+	if res.BytesLoaded != 1 || res.FilesLoaded != 1 {
+		t.Errorf("res loaded %d bytes / %d files, want the prefetch folded in", res.BytesLoaded, res.FilesLoaded)
 	}
 	if !inner.Cache().Contains(2) {
 		t.Error("2 not prefetched")

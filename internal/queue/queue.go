@@ -141,9 +141,6 @@ func NewBatcher(length int, sched Scheduler, serve func(bundle.Bundle)) *Batcher
 	return &Batcher{length: length, sched: sched, serve: serve}
 }
 
-// Length reports the configured queue length.
-func (b *Batcher) Length() int { return b.length }
-
 // Pending reports the number of queued jobs.
 func (b *Batcher) Pending() int { return len(b.pending) }
 

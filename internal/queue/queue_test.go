@@ -144,9 +144,11 @@ func TestBatcherLengthOneIsImmediate(t *testing.T) {
 	if served != 1 {
 		t.Errorf("served = %d", served)
 	}
+	// A length below one is clamped to one: Submit serves at once.
 	b2 := NewBatcher(0, FCFS(), func(bundle.Bundle) { served++ })
-	if b2.Length() != 1 {
-		t.Errorf("Length = %d", b2.Length())
+	b2.Submit(bundle.New(2))
+	if served != 2 {
+		t.Errorf("clamped batcher served = %d, want 2", served)
 	}
 }
 

@@ -71,8 +71,8 @@ func (a fuzzAssoc) Confidence(f, g bundle.FileID) float64 {
 // FuzzReplanMatchesReference drives the dense-table Predictor, Planner and
 // Plan and their map-and-sort references (replan_reference_test.go)
 // through one random stream of observations (with and without an
-// association model), clock advances, prunes, availability and risk
-// changes, catalog churn, static plans and epochs, over multi-site
+// association model), clock advances, availability and risk changes,
+// catalog churn, static plans and epochs, over multi-site
 // catalogs with cost ties, unreachable sites and zero-size files. Every
 // epoch and plan must be deep-equal, and so must the two replica catalogs.
 func FuzzReplanMatchesReference(f *testing.F) {
@@ -202,16 +202,10 @@ func FuzzReplanMatchesReference(f *testing.F) {
 				pred.Observe(now, b, v)
 				refPred.Observe(now, b, v)
 				hist.ObserveValued(b, v)
-			case 2:
+			case 2, 4:
 				now += float64(in.pick(64))
 			case 3:
 				replan()
-			case 4:
-				floor := []float64{0.01, 0.1, 0.5}[in.pick(3)]
-				if got, want := pred.Prune(now, floor), refPred.Prune(now, floor); got != want {
-					t.Fatalf("Prune at %v dropped %d, reference %d", now, got, want)
-				}
-				check("prune")
 			case 5:
 				s := 1 + in.pick(nRemote)
 				bits := in.next()

@@ -61,7 +61,7 @@ type FileHeat struct {
 type heatState struct {
 	heat    float64 // value as of last
 	last    float64 // sim-time of last fold
-	tracked bool    // observed since construction or the last Prune drop
+	tracked bool    // observed at least once
 }
 
 // Predictor estimates per-file request heat online with exponential decay:
@@ -77,9 +77,8 @@ type Predictor struct {
 	cfg PredictorConfig
 	// heat is dense, indexed by FileID and grown (amortized geometrically
 	// by append) on first sight of a larger ID, so reads walk it in ID
-	// order with no sort. Untracked slots hold the zero state. Prune clears
-	// slots but never shrinks the table: memory is bounded by the largest
-	// FileID observed.
+	// order with no sort. Untracked slots hold the zero state. Memory is
+	// bounded by the largest FileID observed.
 	heat []heatState
 	n    int // tracked slots
 }
@@ -164,21 +163,6 @@ func (p *Predictor) appendSnapshot(dst []FileHeat, now float64) []FileHeat {
 		}
 	}
 	return dst
-}
-
-// Prune drops files whose decayed heat fell below floor, bounding how many
-// files a Snapshot reports over long runs. Returns how many were dropped.
-func (p *Predictor) Prune(now float64, floor float64) int {
-	dropped := 0
-	heat := p.heat
-	for i, s := range heat {
-		if s.tracked && p.decayTo(s, now).heat < floor {
-			heat[i] = heatState{}
-			dropped++
-		}
-	}
-	p.n -= dropped
-	return dropped
 }
 
 // Len reports the number of files currently tracked.

@@ -33,7 +33,7 @@ func TestPredictorEWMADecay(t *testing.T) {
 	}
 }
 
-func TestPredictorSnapshotSortedAndPrune(t *testing.T) {
+func TestPredictorSnapshotSorted(t *testing.T) {
 	p := NewPredictor(PredictorConfig{HalfLifeSec: 10})
 	p.Observe(0, bundle.New(5, 2, 9), 1)
 	p.Observe(0, bundle.New(2), 1)
@@ -41,13 +41,6 @@ func TestPredictorSnapshotSortedAndPrune(t *testing.T) {
 	want := []FileHeat{{File: 2, Heat: 2}, {File: 5, Heat: 1}, {File: 9, Heat: 1}}
 	if !reflect.DeepEqual(snap, want) {
 		t.Errorf("snapshot = %v, want %v", snap, want)
-	}
-	// After three half-lives the singletons are at 0.125: prune them.
-	if n := p.Prune(30, 0.2); n != 2 {
-		t.Errorf("pruned %d files, want 2", n)
-	}
-	if p.Len() != 1 || p.Heat(30, 2) == 0 {
-		t.Errorf("survivor set wrong: len=%d", p.Len())
 	}
 }
 

@@ -94,19 +94,6 @@ func (p *predictorReference) Snapshot(now float64) []FileHeat {
 	return out
 }
 
-func (p *predictorReference) Prune(now float64, floor float64) int {
-	var drop []bundle.FileID
-	for f, s := range p.heat {
-		if p.decayTo(s, now).heat < floor {
-			drop = append(drop, f)
-		}
-	}
-	for _, f := range drop {
-		delete(p.heat, f)
-	}
-	return len(drop)
-}
-
 func (p *predictorReference) Len() int { return len(p.heat) }
 
 // plannerReference is the map-backed Planner.

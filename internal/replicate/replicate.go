@@ -215,13 +215,3 @@ func TotalBytes(plan []Action) bundle.Size {
 	}
 	return total
 }
-
-// TotalSavings reports the heat-weighted staging-time savings of a plan
-// (seconds, summed over expected future accesses at observed heat).
-func TotalSavings(plan []Action) float64 {
-	total := 0.0
-	for _, a := range plan {
-		total += a.Heat * a.SavingsSec
-	}
-	return total
-}

@@ -139,14 +139,19 @@ func TestApplyAndSavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if TotalSavings(res.Actions) <= 0 {
-		t.Error("no savings reported")
+	if len(res.Actions) == 0 {
+		t.Fatal("no actions planned")
+	}
+	for _, a := range res.Actions {
+		if a.Heat*a.SavingsSec <= 0 {
+			t.Errorf("action %+v reports no savings", a)
+		}
 	}
 	Apply(res.Actions, topo, reps)
 	for _, f := range []bundle.FileID{1, 2} {
-		src, _, ok := reps.BestSource(topo, f, bundle.MB)
-		if !ok || src != topo.Local() {
-			t.Errorf("f%d best source = %v after Apply", f, src)
+		ranked := reps.AppendRankedSources(nil, topo, f, bundle.MB)
+		if len(ranked) == 0 || ranked[0].Site != topo.Local() {
+			t.Errorf("f%d ranked sources = %v after Apply", f, ranked)
 		}
 	}
 	// Re-planning now yields nothing.

@@ -264,7 +264,7 @@ func (s *mssStager) utilization(h float64) float64 { return s.sys.Utilization(h)
 // source site's MSS channels queue the read; the WAN hop adds latency +
 // size/bandwidth on top (WAN links are modelled as uncontended). Under
 // faults, staging retries against a source with backoff and fails over
-// along Replicas.RankedSources when a site is down or its attempts are
+// along Replicas.AppendRankedSources when a site is down or its attempts are
 // exhausted.
 type gridStager struct {
 	topo  *grid.Topology

@@ -6,6 +6,7 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/faults"
+	"fbcache/internal/metrics"
 	"fbcache/internal/workload"
 )
 
@@ -31,7 +32,7 @@ func TestFaultsZeroScenarioBitIdentical(t *testing.T) {
 
 	plain := run(nil, nil)
 	armed := run(&faults.Scenario{}, nil)
-	if !armed.Resilience.Zero() {
+	if armed.Resilience != (metrics.Resilience{}) {
 		t.Errorf("zero scenario recorded resilience events: %v", armed.Resilience)
 	}
 	if !reflect.DeepEqual(plain, armed) {

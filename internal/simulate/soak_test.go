@@ -41,10 +41,8 @@ func TestSoakAllPoliciesAllModes(t *testing.T) {
 		"opt-cache-resident": policy.OptFileBundleFactory(core.Options{
 			History: history.Config{Truncation: history.CacheResident},
 		}),
-		"opt-window-decay": policy.OptFileBundleFactory(core.Options{
-			History:     history.Config{Truncation: history.Window, Limit: 48},
-			DecayEvery:  100,
-			DecayFactor: 0.7,
+		"opt-window": policy.OptFileBundleFactory(core.Options{
+			History: history.Config{Truncation: history.Window, Limit: 48},
 		}),
 		"opt-prefetch-literal": policy.OptFileBundleFactory(core.Options{
 			History:      history.Config{Truncation: history.CacheResident},
@@ -235,14 +233,14 @@ func TestFaultSoakChurnCorrelated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sites := faults.GenCorrelated(faults.CorrelatedConfig{
+	sites := genCorrelated(correlatedConfig{
 		Seed: 71, Groups: [][]int{{1}}, OutagesPerGroup: 2,
 		MeanOutageSec: 25, HorizonSec: 300,
 	})
-	sites = faults.MergeSites(sites, faults.GenChurn(faults.ChurnConfig{
+	sites = mergeSites(sites, genChurn(churnConfig{
 		Seed: 72, Sites: []int{1}, MeanUpSec: 80, MeanDownSec: 15, HorizonSec: 300,
 	}))
-	sites = faults.MergeSites(sites, faults.GenDiurnal(faults.DiurnalConfig{
+	sites = mergeSites(sites, genDiurnal(diurnalConfig{
 		Seed: 73, Sites: []int{0, 1}, PeriodSec: 100, BusyFrac: 0.3,
 		Factor: 2.5, HorizonSec: 300, PhaseJitter: true,
 	}))

@@ -154,29 +154,6 @@ func TestQuickSummaryMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.999, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("OutOfRange = %d,%d want 1,2", under, over)
-	}
-	wantBins := []int64{2, 1, 1, 0, 1}
-	for i, w := range wantBins {
-		if got := h.Bin(i); got != w {
-			t.Errorf("Bin(%d) = %d, want %d", i, got, w)
-		}
-	}
-	if h.NumBins() != 5 {
-		t.Errorf("NumBins = %d", h.NumBins())
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	data := []float64{1, 2, 3, 4, 5}
 	tests := []struct {

@@ -63,54 +63,6 @@ func (s *Summary) String() string {
 		s.n, s.Mean(), s.Stddev(), s.min, s.max)
 }
 
-// Histogram counts observations into fixed-width bins over [lo, hi); values
-// outside the range land in saturating edge bins. It is used by the harness
-// to sanity-check generated workloads (file size and bundle size spreads).
-type Histogram struct {
-	lo, hi float64
-	bins   []int64
-	under  int64
-	over   int64
-	total  int64
-}
-
-// NewHistogram builds a histogram with nbins bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: bad histogram [%v,%v) bins=%d", lo, hi, nbins))
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int64, nbins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-		if i == len(h.bins) { // FP edge
-			i--
-		}
-		h.bins[i]++
-	}
-}
-
-// Total reports the number of observations, including out-of-range ones.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Bin reports the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// NumBins reports the bin count.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// OutOfRange reports observations below lo and at or above hi.
-func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }
-
 // Quantile computes the q-quantile (0 <= q <= 1) of a data slice.
 // The input is not modified. Linear interpolation between order statistics.
 func Quantile(data []float64, q float64) float64 {

@@ -75,8 +75,10 @@ func TestConcurrentStageBundleSameFiles(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.StageBundle(b); err != nil {
-				t.Errorf("StageBundle: %v", err)
+			for _, f := range b {
+				if _, _, err := s.Stage(f, s.Intent(f)); err != nil {
+					t.Errorf("Stage(%d): %v", f, err)
+				}
 			}
 		}()
 	}

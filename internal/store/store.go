@@ -187,23 +187,6 @@ func copyCRC(dst io.Writer, src io.Reader) (n int64, sum uint32, err error) {
 	}
 }
 
-// StageBundle stages every file of b at its current intent generation,
-// returning the total bytes written (files already present cost nothing).
-func (s *Store) StageBundle(b bundle.Bundle) (bundle.Size, error) {
-	var total bundle.Size
-	for _, f := range b {
-		before := s.Contains(f)
-		size, _, err := s.Stage(f, s.Intent(f))
-		if err != nil {
-			return total, err
-		}
-		if !before {
-			total += size
-		}
-	}
-	return total, nil
-}
-
 // Contains reports whether f is materialized.
 func (s *Store) Contains(f bundle.FileID) bool {
 	e := s.entryFor(f)

@@ -75,21 +75,6 @@ func TestStageIdempotent(t *testing.T) {
 	}
 }
 
-func TestStageBundleCountsOnlyNewBytes(t *testing.T) {
-	s := newStore(t)
-	if _, _, err := s.Stage(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	total, err := s.StageBundle(bundle.New(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	size2, _, _ := s.Stage(2, 0)
-	if total != size2 {
-		t.Errorf("total = %d, want only file 2's %d", total, size2)
-	}
-}
-
 func TestVerifyDetectsCorruption(t *testing.T) {
 	s := newStore(t)
 	if _, _, err := s.Stage(4, 0); err != nil {
