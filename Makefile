@@ -30,9 +30,9 @@ test-invariant:
 	$(GO) test -tags fbinvariant ./...
 
 # lint = the stock vet suite plus fbvet, the repo-specific analyzers
-# (mapiter, floateq, sizeunits, ndtaint, errflow, retrybound, pkgdoc, the
-# interprocedural concurrency suite lockorder/guardedby/goroleak, and the
-# performance checks hotcomplexity and noescape/inline/nobce, which read a
+# (floateq, ndtaint, errflow, pkgdoc, the interprocedural concurrency suite
+# lockorder/guardedby/goroleak, and the performance checks hotcomplexity
+# and noescape/inline/nobce, which read a
 # `go build -gcflags='-m -m -d=ssa/check_bce/debug=1'` sweep of the repo —
 # DESIGN.md §11). Both must be clean; findings are suppressed only by a
 # justified //fbvet:allow directive, and allowcheck flags directives that

@@ -2,7 +2,7 @@
 // (internal/analyzers) over the packages matching the given patterns:
 //
 //	go run ./cmd/fbvet ./...          # whole repo, all analyzers
-//	go run ./cmd/fbvet -run mapiter,floateq ./internal/core
+//	go run ./cmd/fbvet -run ndtaint,errflow ./internal/core
 //	go run ./cmd/fbvet -list          # describe the suite
 //
 // fbvet exits 0 when no diagnostics are reported, 1 when findings exist,

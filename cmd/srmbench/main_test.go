@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
@@ -79,6 +80,43 @@ func TestRunBenchUnreachableServer(t *testing.T) {
 	}
 	if _, err := runBench("127.0.0.1:1", w, 1, 1, 1, nil); err == nil {
 		t.Error("unreachable server accepted")
+	}
+}
+
+// A server that rejects every stage (each bundle exceeds its cache) must
+// not stall the run: runBench finishes and counts every job as an error.
+func TestRunBenchCountsRejectedStages(t *testing.T) {
+	cat := bundle.NewCatalog()
+	server, err := srm.Serve(srm.New(core.New(bundle.MB/2, cat.SizeFunc(), core.DefaultOptions()), cat), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = server.Shutdown(0) }()
+	w, err := workload.Generate(workload.Spec{
+		Seed: 1, CacheSize: bundle.GB, NumFiles: 4, MinFileSize: bundle.MB,
+		MaxFilePct: 0.1, NumRequests: 2, MaxBundleFiles: 2, MaxBundleFrac: 0.5,
+		Jobs: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum *benchSummary
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		sum, err = runBench(server.Addr(), w, 2, 2, 2, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("runBench did not finish against a server that rejects every stage")
+	}
+	if sum.ops != 4 || sum.errors != 4 {
+		t.Errorf("ops = %d, errors = %d; want 4 jobs, all rejected", sum.ops, sum.errors)
 	}
 }
 

@@ -2,19 +2,16 @@
 // guarding the invariants the simulator's reproducibility and the paper's
 // hot loops (OptCacheSelect, Landlord's credit ranking) depend on:
 //
-//   - mapiter: map iteration must not feed ordered decisions unsorted
-//     (Go randomizes map range order per run).
 //   - floateq: derived float64 values/credits must not be compared with
 //     exact == / != (rounding noise would decide ties).
-//   - sizeunits: 64-bit byte counters must not be narrowed or computed in
-//     platform-width int arithmetic.
-//   - ndtaint: wall-clock reads, global math/rand draws, and map-order-
-//     dependent selections must not flow into simulation state (dataflow.go
-//     is the taint engine; a seeded *rand.Rand from config is sanctioned).
+//   - ndtaint: map order (Go randomizes map range order per run) must not
+//     reach state anywhere — an early-exit map range's element, or a slice
+//     a map range accumulated, used before a deterministic sort — and
+//     wall-clock reads and global math/rand draws must not reach simulation
+//     state (dataflow.go is the taint engine; a seeded *rand.Rand from
+//     config is sanctioned).
 //   - errflow: error values on simulator and cmd/ paths must not be dropped
 //     by expression statements or overwritten before inspection.
-//   - retrybound: retry loops must be attempt-bounded — an unbounded
-//     `for { retry }` hangs forever on a persistent fault.
 //   - pkgdoc: every package must carry a package documentation comment
 //     (opening "Package <name>" for library packages) stating the paper
 //     section it implements and its pipeline role.
@@ -135,7 +132,7 @@ func (d Diagnostic) String() string {
 // see summary.go), the performance checks (hotcomplexity and the contract
 // analyzers), and the allow-directive self-check.
 func All() []*Analyzer {
-	suite := []*Analyzer{MapIter, FloatEq, SizeUnits, NDTaint, ErrFlow, RetryBound, PkgDoc, LockOrder, GuardedBy, GoroLeak, HotComplexity}
+	suite := []*Analyzer{FloatEq, NDTaint, ErrFlow, PkgDoc, LockOrder, GuardedBy, GoroLeak, HotComplexity}
 	suite = append(suite, contractAnalyzers()...)
 	return append(suite, AllowCheck)
 }
@@ -178,7 +175,7 @@ func SweepFor(dir string, patterns []string, suite []*Analyzer) (*perf.Sweep, er
 	return perf.SweepPackages(dir, patterns)
 }
 
-// ByName resolves a comma-separated analyzer list ("mapiter,floateq").
+// ByName resolves a comma-separated analyzer list ("ndtaint,floateq").
 func ByName(names string) ([]*Analyzer, error) {
 	var out []*Analyzer
 	for _, name := range strings.Split(names, ",") {
@@ -323,7 +320,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) ([]allowDirective, ma
 // auditAllows reports directives that name analyzers that do not exist, and
 // directives that suppressed nothing even though the named analyzer ran.
 // Only active when allowcheck itself is in the running suite, and a name is
-// only called unused when its analyzer ran — `fbvet -run mapiter` must not
+// only called unused when its analyzer ran — `fbvet -run ndtaint` must not
 // condemn a perfectly live floateq allow.
 func auditAllows(directives []allowDirective, used map[allowKey]bool, analyzers []*Analyzer) []Diagnostic {
 	running := make(map[string]bool, len(analyzers))

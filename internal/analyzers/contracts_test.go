@@ -41,7 +41,7 @@ func TestFuncDirectives(t *testing.T) {
 		{"//fbvet:nobce guarded indices\nfunc F() {}", []string{"nobce"}},
 		{"//fbvet:noescapebogus\nfunc F() {}", nil},     // directive name must end at a space
 		{"// fbvet:noescape\nfunc F() {}", nil},         // leading space is not the canonical spelling
-		{"//fbvet:allow mapiter — x\nfunc F() {}", nil}, // allow is not a contract directive
+		{"//fbvet:allow ndtaint — x\nfunc F() {}", nil}, // allow is not a contract directive
 		{"func F() {}", nil},
 	}
 	for _, c := range cases {

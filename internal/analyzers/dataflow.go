@@ -13,8 +13,8 @@ package analyzers
 // The engine is deliberately conservative in both directions: calls with
 // tainted *arguments* do not taint their results (or every seeded
 // rand.New(rand.NewSource(seed)) chain would light up), while any lexical
-// derivation of a tainted value stays tainted. Analyzers provide the source
-// predicate; the engine owns propagation.
+// derivation of a tainted value, append included, stays tainted. Analyzers
+// provide the source predicate; the engine owns propagation.
 
 import (
 	"go/ast"
@@ -26,6 +26,12 @@ import (
 type taint struct {
 	src  token.Pos // position of the source expression
 	what string    // human description ("time.Now()", "unseeded math/rand call")
+	// order marks a collection whose elements are deterministic but whose
+	// order is not (a slice accumulated in a map range): ranging over it to
+	// the end draws nothing, and a deterministic sort at sorted (if valid)
+	// cleans every later use.
+	order  bool
+	sorted token.Pos
 }
 
 // taintSet maps tainted objects (local variables, named results) to their
@@ -45,8 +51,8 @@ const maxTaintIters = 16
 // iterating assignment/declaration/range propagation to a fixed point, so
 // taint survives arbitrary statement order and loop-carried flows
 // (x := time.Now(); for { y = x; state = y }). seed pre-taints objects whose
-// taint is positional rather than expressional (map-range loop variables);
-// it may be nil.
+// taint is positional rather than expressional (map-range loop variables and
+// accumulators); it may be nil.
 func propagateTaint(pass *Pass, body *ast.BlockStmt, isSource sourceFunc, seed taintSet) taintSet {
 	tainted := make(taintSet)
 	for obj, t := range seed {
@@ -91,8 +97,10 @@ func propagateTaint(pass *Pass, body *ast.BlockStmt, isSource sourceFunc, seed t
 					}
 				}
 			case *ast.RangeStmt:
-				// Ranging over a tainted collection taints the drawn elements.
-				if t, ok := exprTaint(pass, s.X, tainted, isSource); ok {
+				// Ranging over a tainted collection taints the drawn elements;
+				// over an order-tainted one, only a range that can stop early
+				// draws an element that depends on the order.
+				if t, ok := exprTaint(pass, s.X, tainted, isSource); ok && (!t.order || rangeExitsEarly(s.Body)) {
 					if id, ok := s.Key.(*ast.Ident); ok {
 						mark(id, t)
 					}
@@ -145,11 +153,22 @@ func exprTaint(pass *Pass, e ast.Expr, tainted taintSet, isSource sourceFunc) (t
 	case *ast.Ident:
 		if obj := pass.TypesInfo.ObjectOf(v); obj != nil {
 			t, ok := tainted[obj]
+			if ok && t.sorted.IsValid() && v.Pos() > t.sorted {
+				return taint{}, false
+			}
 			return t, ok
 		}
 	case *ast.CallExpr:
 		if what, ok := isSource(pass, v); ok {
 			return taint{src: v.Pos(), what: what}, true
+		}
+		// append carries its operands' values and order into its result.
+		if isBuiltinCall(pass, v, "append") {
+			for _, arg := range v.Args {
+				if t, ok := exprTaint(pass, arg, tainted, isSource); ok {
+					return t, true
+				}
+			}
 		}
 		// A conversion is value-preserving: T(tainted) stays tainted.
 		if tv, ok := pass.TypesInfo.Types[v.Fun]; ok && tv.IsType() && len(v.Args) == 1 {
@@ -262,6 +281,16 @@ func callResultsError(pass *Pass, call *ast.CallExpr) bool {
 		t = tup.At(tup.Len() - 1).Type()
 	}
 	return types.Identical(t, errorType)
+}
+
+// isBuiltinCall reports whether call invokes the named predeclared builtin.
+func isBuiltinCall(pass *Pass, call *ast.CallExpr, name string) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, isBuiltin := pass.TypesInfo.ObjectOf(id).(*types.Builtin)
+	return isBuiltin
 }
 
 // funcBodies visits every function body in the package (declarations and

@@ -7,28 +7,39 @@ import (
 	"strings"
 )
 
-// NDTaint is the nondeterminism taint analyzer: inside the simulation
-// packages it taints wall-clock reads (time.Now/Since/Until), calls to the
-// global math/rand generator, and loop variables of map ranges that exit
-// early (the element they hold was drawn under Go's randomized iteration
-// order), then follows the dataflow engine (dataflow.go) and reports where a
-// tainted value reaches simulation state: a field or indexed write, a
-// package-level variable, a return value, a call argument, or a channel
-// send. It also flags goroutines that share unsynchronized local state with
+// NDTaint is the nondeterminism taint analyzer. It owns map order
+// repo-wide: a map range hands on its elements in Go's randomized iteration
+// order, so it taints the loop variables of a range that can exit early (the
+// element held when it stops was drawn in random order) and every slice
+// declared outside the range that its body appends to. Such an accumulator
+// carries order taint: a call into sort or slices (or a callee named *sort*)
+// sanitizes every later use, and ranging over it to the end is an
+// order-independent reduction. Inside the simulation packages it also taints
+// wall-clock reads (time.Now/Since/Until) and calls to the global math/rand
+// generator, and flags goroutines that share unsynchronized local state with
 // their spawning function.
+//
+// The dataflow engine (dataflow.go) carries taint to the sinks where a value
+// reaches state another component can observe: a field or indexed write, a
+// package-level variable, a return value, a call argument, or a channel
+// send. An accumulator is reported once, at its map range, naming the first
+// ordered use; other taint is reported at each sink.
 //
 // The sanctioned randomness source is a seeded *rand.Rand threaded through
 // configuration (rand.New(rand.NewSource(seed))); method calls on such a
 // generator are not tainted.
 var NDTaint = &Analyzer{
 	Name: "ndtaint",
-	Doc: "flag wall-clock, global math/rand, and map-order values flowing into " +
-		"simulation state, and unsynchronized goroutine captures",
+	Doc: "flag map-order values (early-exit map-range elements, map-range accumulators used " +
+		"before a deterministic sort) anywhere, and wall-clock and global math/rand values in " +
+		"the simulation packages, flowing into state; and unsynchronized goroutine captures",
 	Run: runNDTaint,
 }
 
 // ndtaintScope lists the package-path fragments that make up "simulation
 // state" — everything that must be a deterministic function of the trace.
+// Map order is checked everywhere; clocks, global randomness and goroutine
+// captures only here.
 var ndtaintScope = []string{
 	"internal/core", "internal/simulate", "internal/srm", "internal/mss",
 	"internal/grid", "internal/cache", "internal/history", "internal/policy",
@@ -52,16 +63,26 @@ func inAnalyzerScope(pass *Pass, scope []string) bool {
 }
 
 func runNDTaint(pass *Pass) {
-	if !inAnalyzerScope(pass, ndtaintScope) {
-		return
+	inScope := inAnalyzerScope(pass, ndtaintScope)
+	source := ndSource
+	if !inScope {
+		source = noSource
 	}
 	funcBodies(pass, func(name string, body *ast.BlockStmt) {
 		seed := mapOrderSeeds(pass, body)
-		tainted := propagateTaint(pass, body, ndSource, seed)
-		reportTaintSinks(pass, body, tainted)
-		checkGoroutineCaptures(pass, body)
+		if len(seed) > 0 || inScope {
+			reportTaintSinks(pass, body, propagateTaint(pass, body, source, seed), source)
+		}
+		if inScope {
+			checkGlobalRandMutators(pass, body)
+			checkGoroutineCaptures(pass, body)
+		}
 	})
 }
+
+// noSource introduces no taint: outside the simulation packages only the
+// map-order seeds flow.
+func noSource(*Pass, ast.Expr) (string, bool) { return "", false }
 
 // ndSource classifies taint-introducing calls.
 func ndSource(pass *Pass, e ast.Expr) (string, bool) {
@@ -88,11 +109,10 @@ func ndSource(pass *Pass, e ast.Expr) (string, bool) {
 	return "", false
 }
 
-// mapOrderSeeds pre-taints the key/value variables of map-range loops that
-// can exit early: the element those variables hold when the loop breaks or
-// returns was drawn under randomized iteration order. Exhaustive map ranges
-// (order-independent reductions) are left alone; the mapiter analyzer owns
-// the accumulate-then-order pattern.
+// mapOrderSeeds pre-taints what the body's map ranges hand on in randomized
+// order: the key/value variables of a range that can exit early, and the
+// accumulators of every range (see NDTaint). An exhaustive range that only
+// reduces (sums, set rebuilds) seeds nothing.
 func mapOrderSeeds(pass *Pass, body *ast.BlockStmt) taintSet {
 	seed := make(taintSet)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -100,23 +120,99 @@ func mapOrderSeeds(pass *Pass, body *ast.BlockStmt) taintSet {
 		if !ok {
 			return true
 		}
-		if _, isMap := typeUnderlying[*types.Map](pass, r.X); !isMap {
+		if typ := pass.TypeOf(r.X); typ == nil || !isMap(typ) {
 			return true
 		}
-		if !rangeExitsEarly(r.Body) {
-			return true
-		}
-		t := taint{src: r.Pos(), what: "an element drawn under randomized map iteration order"}
-		for _, e := range []ast.Expr{r.Key, r.Value} {
-			if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-				if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-					seed[obj] = t
+		if rangeExitsEarly(r.Body) {
+			t := taint{src: r.Pos(), what: "an element drawn under randomized map iteration order"}
+			for _, e := range []ast.Expr{r.Key, r.Value} {
+				if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+					if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+						seed[obj] = t
+					}
 				}
+			}
+		}
+		for obj, name := range accumulators(pass, r) {
+			seed[obj] = taint{
+				src:    r.Pos(),
+				what:   "range over map " + types.ExprString(r.X) + " accumulates into " + name,
+				order:  true,
+				sorted: firstSort(pass, body, obj, r.End()),
 			}
 		}
 		return true
 	})
 	return seed
+}
+
+func isMap(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// accumulators finds the slice variables declared outside r that its body
+// extends with v = append(v, ...).
+func accumulators(pass *Pass, r *ast.RangeStmt) map[types.Object]string {
+	out := make(map[types.Object]string)
+	ast.Inspect(r.Body, func(n ast.Node) bool {
+		asg, ok := n.(*ast.AssignStmt)
+		if !ok || len(asg.Lhs) != len(asg.Rhs) {
+			return true
+		}
+		for i, l := range asg.Lhs {
+			lhs, ok := l.(*ast.Ident)
+			call, isCall := asg.Rhs[i].(*ast.CallExpr)
+			if !ok || !isCall || !isBuiltinCall(pass, call, "append") {
+				continue
+			}
+			obj := pass.TypesInfo.ObjectOf(lhs)
+			if base, ok := call.Args[0].(*ast.Ident); ok && obj != nil &&
+				pass.TypesInfo.ObjectOf(base) == obj && !(obj.Pos() >= r.Pos() && obj.Pos() < r.End()) {
+				out[obj] = lhs.Name
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// firstSort returns the position of the first deterministic sort of obj
+// after pos — a call into sort or slices, or to a callee whose name contains
+// "sort", with obj among its arguments — or token.NoPos.
+func firstSort(pass *Pass, body *ast.BlockStmt, obj types.Object, after token.Pos) token.Pos {
+	first := token.NoPos
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() <= after || (first.IsValid() && call.Pos() >= first) || !isSort(pass, call) {
+			return true
+		}
+		for _, arg := range call.Args {
+			ast.Inspect(arg, func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == obj {
+					first = call.Pos()
+				}
+				return true
+			})
+		}
+		return true
+	})
+	return first
+}
+
+// isSort reports whether call establishes a deterministic order.
+func isSort(pass *Pass, call *ast.CallExpr) bool {
+	if pkg, _ := calleePackage(pass, call); pkg == "sort" || pkg == "slices" {
+		return true
+	}
+	name := ""
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		name = fun.Name
+	case *ast.SelectorExpr:
+		name = fun.Sel.Name
+	}
+	return strings.Contains(strings.ToLower(name), "sort")
 }
 
 // rangeExitsEarly reports whether the loop body can stop before visiting
@@ -141,9 +237,10 @@ func rangeExitsEarly(body *ast.BlockStmt) bool {
 				}
 				return false
 			case *ast.ForStmt, *ast.RangeStmt, *ast.SelectStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt:
-				if m != ast.Node(body) {
-					// break inside binds to the nested statement; returns
-					// still escape, so keep walking with breaks retargeted.
+				// Inspect visits n itself first; only a nested statement
+				// rebinds break. Returns still escape it, so keep walking
+				// with breaks retargeted.
+				if m != n {
 					walk(m, false)
 					return false
 				}
@@ -156,15 +253,24 @@ func rangeExitsEarly(body *ast.BlockStmt) bool {
 }
 
 // reportTaintSinks walks one function body and reports every statement where
-// a tainted value escapes into state another component can observe.
-func reportTaintSinks(pass *Pass, body *ast.BlockStmt, tainted taintSet) {
-	if len(tainted) == 0 && !hasDirectSource(pass, body) {
+// a tainted value escapes into state another component can observe. An
+// order-tainted accumulator is reported once, at its map range.
+func reportTaintSinks(pass *Pass, body *ast.BlockStmt, tainted taintSet, source sourceFunc) {
+	if len(tainted) == 0 && !hasDirectSource(pass, body, source) {
 		return
 	}
+	reported := make(map[taint]bool)
 	report := func(pos token.Pos, t taint, sink string) {
-		pass.Reportf(pos, "%s (from line %d) flows into %s; simulation state must be "+
-			"deterministic — thread a seeded *rand.Rand (or trace-derived clock) through the config",
-			t.what, pass.Fset.Position(t.src).Line, sink)
+		switch {
+		case !t.order:
+			pass.Reportf(pos, "%s (from line %d) flows into %s; simulation state must be "+
+				"deterministic — thread a seeded *rand.Rand (or trace-derived clock) through the config",
+				t.what, pass.Fset.Position(t.src).Line, sink)
+		case !reported[t]:
+			reported[t] = true
+			pass.Reportf(t.src, "%s, used for ordering at line %d (%s) without a deterministic sort; "+
+				"sort the extracted keys first", t.what, pass.Fset.Position(pos).Line, sink)
+		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
@@ -174,7 +280,7 @@ func reportTaintSinks(pass *Pass, body *ast.BlockStmt, tainted taintSet) {
 				if len(s.Rhs) == len(s.Lhs) {
 					rhs = s.Rhs[i]
 				}
-				t, ok := exprTaint(pass, rhs, tainted, ndSource)
+				t, ok := exprTaint(pass, rhs, tainted, source)
 				if !ok {
 					continue
 				}
@@ -193,35 +299,50 @@ func reportTaintSinks(pass *Pass, body *ast.BlockStmt, tainted taintSet) {
 			}
 		case *ast.ReturnStmt:
 			for _, r := range s.Results {
-				if t, ok := exprTaint(pass, r, tainted, ndSource); ok {
+				if t, ok := exprTaint(pass, r, tainted, source); ok {
 					report(s.Pos(), t, "a return value")
 				}
 			}
 		case *ast.SendStmt:
-			if t, ok := exprTaint(pass, s.Value, tainted, ndSource); ok {
+			if t, ok := exprTaint(pass, s.Value, tainted, source); ok {
 				report(s.Pos(), t, "a channel send")
+			}
+		case *ast.IndexExpr:
+			// Picking elements by position reads an accumulator's order.
+			if t, ok := exprTaint(pass, s.X, tainted, source); ok && t.order {
+				report(s.Pos(), t, "positional read "+types.ExprString(s))
+			}
+		case *ast.SliceExpr:
+			if t, ok := exprTaint(pass, s.X, tainted, source); ok && t.order {
+				report(s.Pos(), t, "positional read "+types.ExprString(s))
 			}
 		case *ast.CallExpr:
 			// Passing a tainted value onward counts: the callee may store it.
-			// Conversions and the source calls themselves are propagation,
-			// not sinks.
+			// Conversions, the source calls themselves and the builtins that
+			// keep or measure a value are propagation, not sinks.
 			if tv, ok := pass.TypesInfo.Types[s.Fun]; ok && tv.IsType() {
 				return true
 			}
-			if _, isSrc := ndSource(pass, s); isSrc {
+			if _, isSrc := source(pass, s); isSrc {
+				return true
+			}
+			if isBuiltinCall(pass, s, "append") || isBuiltinCall(pass, s, "len") || isBuiltinCall(pass, s, "cap") {
 				return true
 			}
 			for _, arg := range s.Args {
-				if t, ok := exprTaint(pass, arg, tainted, ndSource); ok {
+				if t, ok := exprTaint(pass, arg, tainted, source); ok {
 					report(arg.Pos(), t, "call argument of "+types.ExprString(s.Fun))
 				}
 			}
 		}
 		return true
 	})
-	// Global-generator mutators whose whole effect is nondeterministic state:
-	// a discarded rand.Shuffle/Seed call never reaches a value sink but still
-	// perturbs the run.
+}
+
+// checkGlobalRandMutators flags global-generator mutators whose whole effect
+// is nondeterministic state: a discarded rand.Shuffle/Seed call never reaches
+// a value sink but still perturbs the run.
+func checkGlobalRandMutators(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		es, ok := n.(*ast.ExprStmt)
 		if !ok {
@@ -242,14 +363,14 @@ func reportTaintSinks(pass *Pass, body *ast.BlockStmt, tainted taintSet) {
 
 // hasDirectSource cheaply pre-screens a body for source calls so sink
 // walking is skipped in the (common) clean case.
-func hasDirectSource(pass *Pass, body *ast.BlockStmt) bool {
+func hasDirectSource(pass *Pass, body *ast.BlockStmt, source sourceFunc) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if _, ok := ndSource(pass, call); ok {
+			if _, ok := source(pass, call); ok {
 				found = true
 			}
 		}

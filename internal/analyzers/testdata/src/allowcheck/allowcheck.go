@@ -24,7 +24,7 @@ func Unjustified() {
 	}
 }
 
-/*fbvet:allow mapiter */   // want "lacks a justification"
+/*fbvet:allow ndtaint */   // want "lacks a justification"
 func StandaloneDirective() {}
 
 // An unjustified allow naming allowcheck itself must still be flagged: the

@@ -239,7 +239,7 @@ func appendUint(dst []byte, u uint64) []byte {
 	i := len(buf)
 	for u > 0 {
 		i--
-		buf[i] = byte('0' + u%10) //fbvet:allow sizeunits — u%10 < 10 always fits a byte
+		buf[i] = byte('0' + u%10)
 		u /= 10
 	}
 	return append(dst, buf[i:]...)
@@ -253,7 +253,7 @@ func utoa(u uint64) string {
 	i := len(buf)
 	for u > 0 {
 		i--
-		buf[i] = byte('0' + u%10) //fbvet:allow sizeunits — u%10 < 10 always fits a byte
+		buf[i] = byte('0' + u%10)
 		u /= 10
 	}
 	return string(buf[i:])

@@ -169,7 +169,15 @@ func (sc Scenario) Validate() error {
 	if err := retry.Validate(); err != nil {
 		return err
 	}
-	for site, sf := range sc.Sites {
+	// Walk sites in index order so the error names the lowest invalid site,
+	// not whichever one map iteration reaches first.
+	sites := make([]int, 0, len(sc.Sites))
+	for site := range sc.Sites {
+		sites = append(sites, site)
+	}
+	sort.Ints(sites)
+	for _, site := range sites {
+		sf := sc.Sites[site]
 		for _, w := range append(append([]Window{}, sf.Outages...), sf.LinkDown...) {
 			if w.End < w.Start {
 				return fmt.Errorf("faults: site %d window [%v,%v) ends before it starts", site, w.Start, w.End)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -170,6 +171,16 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := NewInjector(Scenario{TransferFailureProb: 0.5, StageBudgetSec: 100, MaxJobAttempts: 3}); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
+	}
+	// With several invalid sites the error names the lowest, on every call.
+	many := Scenario{Sites: map[int]SiteFaults{}}
+	for site := 0; site < 8; site++ {
+		many.Sites[site] = SiteFaults{Outages: []Window{{Start: 5, End: 1}}}
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := NewInjector(many); err == nil || !strings.Contains(err.Error(), "site 0 ") {
+			t.Fatalf("several invalid sites: got %v, want the error for site 0", err)
+		}
 	}
 }
 

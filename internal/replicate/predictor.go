@@ -80,7 +80,6 @@ type Predictor struct {
 	// order with no sort. Untracked slots hold the zero state. Memory is
 	// bounded by the largest FileID observed.
 	heat []heatState
-	n    int // tracked slots
 }
 
 // NewPredictor returns an empty predictor (defaults applied).
@@ -110,10 +109,7 @@ func (p *Predictor) add(now float64, f bundle.FileID, v float64) {
 	if s.last < now {
 		s.last = now
 	}
-	if !s.tracked {
-		s.tracked = true
-		p.n++
-	}
+	s.tracked = true
 	p.heat[f] = s
 }
 
@@ -148,7 +144,7 @@ func (p *Predictor) Heat(now float64, f bundle.FileID) float64 {
 // order: the dense table is walked by index, so every consumer scan is
 // deterministic without a sort.
 func (p *Predictor) Snapshot(now float64) []FileHeat {
-	return p.appendSnapshot(make([]FileHeat, 0, p.n), now)
+	return p.appendSnapshot(nil, now)
 }
 
 // appendSnapshot appends Snapshot's readings to dst — the replan epoch's
@@ -164,6 +160,3 @@ func (p *Predictor) appendSnapshot(dst []FileHeat, now float64) []FileHeat {
 	}
 	return dst
 }
-
-// Len reports the number of files currently tracked.
-func (p *Predictor) Len() int { return p.n }

@@ -86,15 +86,13 @@ func (p *predictorReference) Heat(now float64, f bundle.FileID) float64 {
 }
 
 func (p *predictorReference) Snapshot(now float64) []FileHeat {
-	out := make([]FileHeat, 0, len(p.heat))
+	var out []FileHeat
 	for f, s := range p.heat {
 		out = append(out, FileHeat{File: f, Heat: p.decayTo(s, now).heat})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].File < out[j].File })
 	return out
 }
-
-func (p *predictorReference) Len() int { return len(p.heat) }
 
 // plannerReference is the map-backed Planner.
 type plannerReference struct {

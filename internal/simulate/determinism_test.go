@@ -29,10 +29,10 @@ func evictionTrace(t *testing.T, w *workload.Workload, mk policy.Factory) string
 	return sb.String()
 }
 
-// TestEvictionSequenceDeterministic is the regression test for the map-order
-// bugs fbvet's mapiter analyzer exists to catch (core.setToBundle,
-// solver.dfs): two runs of the same policy over the same workload must make
-// bit-for-bit identical eviction and load decisions at every single job.
+// TestEvictionSequenceDeterministic is the dynamic half of the map-order
+// check fbvet's ndtaint analyzer makes statically: two runs of the same
+// policy over the same workload must make bit-for-bit identical eviction and
+// load decisions at every single job.
 func TestEvictionSequenceDeterministic(t *testing.T) {
 	w := smallWorkload(t, workload.Zipf, 600)
 	for _, tc := range []struct {

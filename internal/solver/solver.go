@@ -146,7 +146,7 @@ func Knapsack(items []KnapsackItem, capacity int64) (float64, []int) {
 	if capacity > maxDPCapacity {
 		panic(fmt.Sprintf("solver: knapsack capacity %d exceeds %d; the pseudo-polynomial DP table would not fit", capacity, maxDPCapacity))
 	}
-	w := int(capacity) //fbvet:allow sizeunits — bounds-checked against maxDPCapacity above
+	w := int(capacity)
 	dp := make([]float64, w+1)
 	take := make([][]bool, len(items))
 	for i, it := range items {
@@ -154,7 +154,7 @@ func Knapsack(items []KnapsackItem, capacity int64) (float64, []int) {
 		if it.Weight > capacity {
 			continue
 		}
-		wt := int(it.Weight) //fbvet:allow sizeunits — Weight <= capacity <= maxDPCapacity here
+		wt := int(it.Weight)
 		for c := w; c >= wt; c-- {
 			if cand := dp[c-wt] + it.Value; cand > dp[c] {
 				dp[c] = cand
@@ -168,7 +168,7 @@ func Knapsack(items []KnapsackItem, capacity int64) (float64, []int) {
 	for i := len(items) - 1; i >= 0; i-- {
 		if take[i][c] {
 			chosen = append(chosen, i)
-			c -= int(items[i].Weight) //fbvet:allow sizeunits — taken items have Weight <= capacity <= maxDPCapacity
+			c -= int(items[i].Weight)
 		}
 	}
 	sort.Ints(chosen)
