@@ -35,7 +35,7 @@ var manifest = map[string][]Contract{
 		{Func: "rankOf", Directives: []string{"noescape", "inline"}},
 		{Func: "chargedSize", Directives: []string{"noescape", "inline", "nobce"}},
 		{Func: "(*OptFileBundle).RelativeValue", Directives: []string{"noescape", "nobce"}},
-		{Func: "residentEntries", Directives: []string{"noescape", "nobce"}},
+		{Func: "hasBit", Directives: []string{"noescape", "inline"}},
 	},
 	// Cache accessors sit inside every admission and eviction decision;
 	// they must stay cheap enough to inline and must not force their

@@ -234,3 +234,22 @@ func BenchmarkEvaluate(b *testing.B) {
 		}
 	}
 }
+
+// TestBinsOfDecimalRangeEnd pins the exclusive range end against a bin
+// edge that is not exactly representable: on [0,1) in 10 bins, 0.3 lies on
+// the edge between bins 2 and 3, but 3·0.1 computes to one ulp above 0.3.
+// An exact comparison would miss the edge and read bin 3 as well.
+func TestBinsOfDecimalRangeEnd(t *testing.T) {
+	cat := bundle.NewCatalog()
+	ix := New(1, cat)
+	attr := ix.AddAttribute("x", 0, 1, 10)
+	for _, r := range []Range{{Attr: attr, Lo: 0, Hi: 0.3}, {Attr: attr, Lo: 0.1, Hi: 0.3}} {
+		_, lo, hi, err := ix.binsOf(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantLo := int(r.Lo * 10); lo != wantLo || hi != 2 {
+			t.Errorf("binsOf(%v) = bins %d..%d, want %d..2", r, lo, hi, wantLo)
+		}
+	}
+}

@@ -95,9 +95,12 @@ type OptFileBundle struct {
 	missScratch     bundle.Bundle
 	loadedScratch   []bundle.FileID
 	keepScratch     fileSet
-	viewScratch     []uint64
 	residentScratch bundle.Bundle
-	evictScratch    bundle.Bundle
+	evictScratch    []uint64
+
+	// resident is the §5.3 candidate set, maintained across admissions
+	// under cache-resident truncation (DESIGN.md §13.6).
+	resident residentSet
 
 	// tracer, when non-nil, receives an AdmitEvent per Admit and a
 	// SelectRoundEvent per OptCacheSelect run, stamped with the admission
@@ -256,13 +259,14 @@ func (p *OptFileBundle) replace(b bundle.Bundle, needed bundle.Size) {
 		keep.add(f)
 	}
 	sel := p.runSelection(b, keep)
-	for _, f := range sel.Files {
-		keep.add(f)
-	}
+	keep.addAscending(sel.Files)
 
 	// Evictable: resident and outside the keep-set, computed a word at a
 	// time as resident &^ keep; only the files that survive take the pin
-	// probe. The words walk in ascending FileID order.
+	// probe. The words walk in ascending FileID order. Each file is listed
+	// as its eviction key d(f)<<32 | f, so the lazy path's (degree, ID)
+	// order is a sort of plain integers.
+	deg := p.hist.DegreeFunc()
 	evictable := p.evictScratch[:0]
 	kw := keep.words
 	for w, word := range p.cache.ResidentWords() {
@@ -274,14 +278,15 @@ func (p *OptFileBundle) replace(b bundle.Bundle, needed bundle.Size) {
 			f := base + bundle.FileID(bits.TrailingZeros64(word))
 			word &= word - 1
 			if !p.cache.Pinned(f) {
-				evictable = append(evictable, f)
+				evictable = append(evictable, uint64(deg(f))<<32|uint64(f))
 			}
 		}
 	}
 	p.evictScratch = evictable
 
 	if p.opts.LiteralEvict {
-		for _, f := range evictable {
+		for _, k := range evictable {
+			f := bundle.FileID(k)
 			if err := p.cache.Evict(f); err == nil {
 				p.lastEvicted++
 				p.lastEvictedFiles = append(p.lastEvictedFiles, f)
@@ -322,22 +327,8 @@ func (p *OptFileBundle) replace(b bundle.Bundle, needed bundle.Size) {
 // runSelection converts the (possibly truncated) history candidates into
 // Select inputs and runs OptCacheSelect with the incoming bundle's space
 // reserved (Free = b, capacity reduced by s(F(b))). in holds exactly b's
-// files.
+// files; p.missScratch holds b's non-resident ones.
 func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
-	p.entriesScratch = p.hist.CandidatesAppend(p.entriesScratch[:0])
-	entries := p.entriesScratch
-	if p.opts.History.Truncation == history.CacheResident {
-		// §5.3: offer only the requests the cache currently supports (plus
-		// whatever overlaps the incoming bundle, which is Free anyway).
-		// Degrees and values still come from the global history.
-		p.viewScratch = residentView(p.viewScratch, p.cache, in)
-		entries = residentEntries(p.viewScratch, entries)
-	}
-	cands := p.candScratch[:0]
-	for _, e := range entries {
-		cands = append(cands, Candidate{Bundle: e.Bundle, Value: e.Value})
-	}
-	p.candScratch = cands
 	opts := SelectOptions{
 		SizeOf:   p.sizeOf,
 		DegreeOf: p.hist.DegreeFunc(),
@@ -345,16 +336,57 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
 		Free:     b,
 	}
 	budget := p.cache.Capacity() - b.TotalSize(p.sizeOf)
+	// Degrees change only when the history gains an entry, so file prices
+	// stay valid across rounds until then.
+	p.selScratch.keepPrices(p.hist.Len())
+
+	var cands []Candidate
+	if p.opts.History.Truncation == history.CacheResident {
+		// §5.3: offer only the requests the cache currently supports (plus
+		// whatever overlaps the incoming bundle, which is Free anyway).
+		// Degrees and values still come from the global history.
+		rs := &p.resident
+		rs.sync(p.hist, p.cache, p.sizeOf)
+		rs.gather(p.hist, p.missScratch)
+		if invariant.Enabled {
+			p.checkResident(b)
+		}
+		if p.opts.SeedK == 0 {
+			if used, ok := rs.fits(p.hist, b, in, budget); ok {
+				sel := rs.selectAll(&p.selScratch, p.hist, used)
+				if invariant.Enabled {
+					p.checkAllFit(sel, budget, opts)
+				}
+				p.traceRound(rs.candidates(), budget, sel)
+				return sel
+			}
+		}
+		cands = rs.appendCandidates(p.candScratch[:0], p.hist)
+	} else {
+		p.entriesScratch = p.hist.CandidatesAppend(p.entriesScratch[:0])
+		cands = p.candScratch[:0]
+		for _, e := range p.entriesScratch {
+			cands = append(cands, Candidate{Bundle: e.Bundle, Value: e.Value})
+		}
+	}
+	p.candScratch = cands
 	var sel Selection
 	if p.opts.SeedK > 0 {
 		sel = selectSeededScratch(&p.selScratch, cands, budget, p.opts.SeedK, opts)
 	} else {
 		sel = selectScratch(&p.selScratch, cands, budget, opts)
 	}
+	p.traceRound(len(cands), budget, sel)
+	return sel
+}
+
+// traceRound publishes one SelectRoundEvent for sel, chosen from n
+// candidates under budget.
+func (p *OptFileBundle) traceRound(n int, budget bundle.Size, sel Selection) {
 	if p.tracer != nil {
 		p.tracer.SelectRound(obs.SelectRoundEvent{
 			At:           float64(p.admissions),
-			Candidates:   len(cands),
+			Candidates:   n,
 			Chosen:       len(sel.Chosen),
 			Files:        len(sel.Files),
 			Value:        sel.Value,
@@ -363,45 +395,53 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
 			SingleWinner: sel.SingleWinner,
 		})
 	}
-	return sel
 }
 
-// residentView returns, in dst's backing array, the words of the set
-// resident(c) ∪ in: the cache's residency bitset with in's touched words
-// OR-ed over it. It costs the residency words plus |in|'s words, and lets
-// residentEntries test each file with one bit probe.
-func residentView(dst []uint64, c *cache.Cache, in *fileSet) []uint64 {
-	dst = append(dst[:0], c.ResidentWords()...)
-	for _, w := range in.touched {
-		if n := int(w) + 1; n > len(dst) {
-			dst = append(dst, make([]uint64, n-len(dst))...)
+// checkResident holds the maintained candidate set to its definition,
+// c.Supports(e.Bundle.Minus(b)) over every history entry, in history
+// order, and the maintained covered bytes to a recount. Armed builds only.
+func (p *OptFileBundle) checkResident(b bundle.Bundle) {
+	rs := &p.resident
+	got := rs.appendCandidates(nil, p.hist)
+	k := 0
+	for j := range p.hist.Len() {
+		e := p.hist.At(j)
+		if !p.cache.Supports(e.Bundle.Minus(b)) {
+			continue
 		}
-		dst[w] |= in.words[w]
+		invariant.Check(k < len(got) && got[k].Bundle.Equal(e.Bundle),
+			"core: maintained candidate %d is not history slot %d (%v)", k, j, e.Bundle)
+		k++
 	}
-	return dst
-}
-
-// residentEntries filters entries in place, keeping — in order — those
-// whose every file is set in view, the words of resident ∪ incoming bundle
-// that residentView builds: the §5.3 cache-resident candidate set,
-// c.Supports(e.Bundle.Minus(b)) for each entry without materializing the
-// difference. It runs once per history entry on every miss, so it stays
-// allocation- and bounds-check-free.
-//
-//fbvet:noescape
-//fbvet:nobce single-slice walks; the word index is length-guarded
-func residentEntries(view []uint64, entries []*history.Entry) []*history.Entry {
-	filtered := entries[:0]
-next:
-	for _, e := range entries {
-		for _, f := range e.Bundle {
-			if w := uint(f) >> 6; w >= uint(len(view)) || view[w]&(1<<(uint(f)&63)) == 0 {
-				continue next
+	invariant.Check(k == len(got),
+		"core: maintained set has %d candidates, definition %d", len(got), k)
+	covered := map[bundle.FileID]bool{}
+	for j := range p.hist.Len() {
+		if e := p.hist.At(j); p.cache.Supports(e.Bundle) {
+			for _, f := range e.Bundle {
+				covered[f] = true
 			}
 		}
-		filtered = append(filtered, e)
 	}
-	return filtered
+	var bytes bundle.Size
+	for f := range covered {
+		bytes += p.sizeOf(f)
+	}
+	invariant.Check(bytes == rs.coverBytes,
+		"core: supported entries cover %d bytes, maintained %d", bytes, rs.coverBytes)
+}
+
+// checkAllFit holds a round that skipped the ranking to what the greedy
+// computes on the same candidates, on every field OptFileBundle reads.
+// Armed builds only.
+func (p *OptFileBundle) checkAllFit(sel Selection, budget bundle.Size, opts SelectOptions) {
+	cands := p.resident.appendCandidates(nil, p.hist)
+	var fresh resortState
+	want := selectScratch(&fresh, cands, budget, opts)
+	invariant.Check(sel.Files.Equal(want.Files) && !(sel.Value < want.Value || sel.Value > want.Value) &&
+		sel.BudgetUsed == want.BudgetUsed && len(sel.Chosen) == len(want.Chosen) &&
+		sel.SingleWinner == want.SingleWinner,
+		"core: all-fit round %+v differs from the greedy's %+v", sel, want)
 }
 
 // RelativeValue scores a pending request for queue scheduling (§5.2
@@ -437,33 +477,20 @@ func (p *OptFileBundle) RelativeValue(b bundle.Bundle) float64 {
 }
 
 // evictLazy removes files from evictable, lowest degree first, until the
-// cache can absorb `needed` bytes.
-func (p *OptFileBundle) evictLazy(evictable bundle.Bundle, needed bundle.Size) {
+// cache can absorb `needed` bytes. evictable holds eviction keys
+// d(f)<<32 | f: distinct integers, so their ascending order is the
+// (degree, ID) order and the sort's instability cannot introduce
+// nondeterminism.
+func (p *OptFileBundle) evictLazy(evictable []uint64, needed bundle.Size) {
 	if p.cache.Free() >= needed {
 		return
 	}
-	deg := p.hist.DegreeFunc()
-	// slices.SortFunc, not sort.Slice: the reflection-based swapper
-	// allocates per eviction round. The (degree, ID) key is a total order,
-	// so the sort's instability cannot introduce nondeterminism.
-	slices.SortFunc(evictable, func(a, b bundle.FileID) int {
-		da, db := deg(a), deg(b)
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	})
-	for _, f := range evictable {
+	slices.Sort(evictable)
+	for _, k := range evictable {
 		if p.cache.Free() >= needed {
 			return
 		}
+		f := bundle.FileID(k)
 		if err := p.cache.Evict(f); err == nil {
 			p.lastEvicted++
 			p.lastEvictedFiles = append(p.lastEvictedFiles, f)

@@ -302,7 +302,24 @@ func (s *fileSet) reset() {
 
 // add inserts f, growing the words on first sight of a larger ID.
 func (s *fileSet) add(f bundle.FileID) {
-	w := uint(f) >> 6
+	s.or(uint(f)>>6, 1<<(uint(f)&63))
+}
+
+// addAscending inserts files, which must be in ascending order, OR-ing each
+// word's run of files in at once.
+func (s *fileSet) addAscending(files []bundle.FileID) {
+	for i := 0; i < len(files); {
+		w := uint(files[i]) >> 6
+		var mask uint64
+		for ; i < len(files) && uint(files[i])>>6 == w; i++ {
+			mask |= 1 << (uint(files[i]) & 63)
+		}
+		s.or(w, mask)
+	}
+}
+
+// or sets the bits of mask in word w, growing the words if w is past them.
+func (s *fileSet) or(w uint, mask uint64) {
 	if w >= uint(len(s.words)) {
 		grown := make([]uint64, max(w+1, 2*uint(len(s.words))))
 		copy(grown, s.words)
@@ -312,7 +329,7 @@ func (s *fileSet) add(f bundle.FileID) {
 		s.touched = append(s.touched, uint32(w))
 		s.hi = max(s.hi, int(w)+1)
 	}
-	s.words[w] |= 1 << (uint(f) & 63)
+	s.words[w] |= mask
 }
 
 // has reports whether f is in the set. It sits inside every per-file walk

@@ -1,62 +1,115 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"fbcache/internal/bundle"
-	"fbcache/internal/cache"
-	"fbcache/internal/history"
 	"fbcache/internal/invariant"
 )
 
-// TestResidentEntriesMatchesMinusSupports checks the §5.3 candidate filter
-// against its definition, cache.Supports(e.Bundle.Minus(b)), over random
-// caches, histories and incoming bundles: the same entries, in the same
-// order. File IDs range past both the cache's residency words and the
-// incoming set's words, and one fileSet serves every trial, so bits left
-// from earlier bundles would show up as wrong answers.
-func TestResidentEntriesMatchesMinusSupports(t *testing.T) {
+// TestMaintainedCandidatesMatchDefinition holds the maintained §5.3
+// candidate set to its definition, cache.Supports(e.Bundle.Minus(b)) over
+// every history entry, in history order, after random sequences of
+// admissions, history observations that bypass Admit, and loads and
+// evictions made directly on Cache(). It also holds the set's charge for
+// taking every candidate to s(U \ b) recounted from the union U, and a
+// round that fits to the greedy's selection on every field the policy
+// reads. File IDs range past one residency word and include zero-size
+// files.
+func TestMaintainedCandidatesMatchDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var in fileSet
-	randomBundle := func(universe int) bundle.Bundle {
-		ids := make([]bundle.FileID, rng.Intn(6))
-		for j := range ids {
-			ids[j] = bundle.FileID(rng.Intn(universe))
+	for trial := range 300 {
+		universe := 1 + rng.Intn(90)
+		sizes := make([]bundle.Size, universe)
+		for f := range sizes {
+			sizes[f] = bundle.Size(rng.Intn(5))
 		}
-		return bundle.New(ids...)
+		sizeOf := func(f bundle.FileID) bundle.Size { return sizes[f] }
+		randomBundle := func() bundle.Bundle {
+			ids := make([]bundle.FileID, rng.Intn(6))
+			for j := range ids {
+				ids[j] = bundle.FileID(rng.Intn(universe))
+			}
+			return bundle.New(ids...)
+		}
+		p := New(bundle.Size(1+rng.Intn(3*universe)), sizeOf, DefaultOptions())
+		c, h := p.Cache(), p.History()
+		for step := range 200 {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				p.Admit(randomBundle())
+			case op < 6:
+				f := bundle.FileID(rng.Intn(universe))
+				_ = c.Insert(f, sizes[f]) // may not fit: no change then
+			case op < 8:
+				_ = c.Evict(bundle.FileID(rng.Intn(universe))) // may be absent
+			case op < 9:
+				h.Observe(randomBundle())
+			default:
+				checkMaintainedRound(t, rng, p, randomBundle(), fmt.Sprintf("trial %d step %d", trial, step))
+			}
+		}
 	}
-	for trial := range 3000 {
-		universe := 1 + rng.Intn(40)
-		c := cache.New(bundle.Size(universe))
-		for range rng.Intn(universe + 1) {
-			_ = c.Insert(bundle.FileID(rng.Intn(universe)), 1) // re-insertion is a no-op
-		}
-		entries := make([]*history.Entry, rng.Intn(30))
-		for i := range entries {
-			entries[i] = &history.Entry{Bundle: randomBundle(universe + 8)}
-		}
-		b := randomBundle(universe + 8)
+}
 
-		var want []*history.Entry
-		for _, e := range entries {
-			if c.Supports(e.Bundle.Minus(b)) {
-				want = append(want, e)
+// checkMaintainedRound runs the maintained set's part of a replacement
+// round for incoming bundle b, under a random budget around the union's
+// charge, and compares each answer with its definition.
+func checkMaintainedRound(t *testing.T, rng *rand.Rand, p *OptFileBundle, b bundle.Bundle, where string) {
+	t.Helper()
+	c, h, rs := p.Cache(), p.History(), &p.resident
+	var in fileSet
+	for _, f := range b {
+		in.add(f)
+	}
+	rs.sync(h, c, p.sizeOf)
+	rs.gather(h, c.Missing(b))
+	got := rs.appendCandidates(nil, h)
+
+	var want []Candidate
+	union := map[bundle.FileID]bool{}
+	for j := range h.Len() {
+		e := h.At(j)
+		if c.Supports(e.Bundle.Minus(b)) {
+			want = append(want, Candidate{Bundle: e.Bundle, Value: e.Value})
+			for _, f := range e.Bundle {
+				union[f] = true
 			}
 		}
-		in.reset()
-		for _, f := range b {
-			in.add(f)
+	}
+	if len(got) != len(want) || rs.candidates() != len(want) {
+		t.Fatalf("%s: maintained set has %d candidates (count %d), definition %d",
+			where, len(got), rs.candidates(), len(want))
+	}
+	for i := range want {
+		if !got[i].Bundle.Equal(want[i].Bundle) || got[i].Value != want[i].Value {
+			t.Fatalf("%s: candidate %d is %v (v=%v), definition %v (v=%v)",
+				where, i, got[i].Bundle, got[i].Value, want[i].Bundle, want[i].Value)
 		}
-		got := residentEntries(residentView(nil, c, &in), entries)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: filter kept %d entries, reference %d", trial, len(got), len(want))
+	}
+
+	var charge bundle.Size
+	for f := range union {
+		if !b.Contains(f) {
+			charge += p.sizeOf(f)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: entry %d is %v, reference %v", trial, i, got[i].Bundle, want[i].Bundle)
-			}
-		}
+	}
+	budget := bundle.Size(rng.Intn(int(charge) + 2))
+	used, ok := rs.fits(h, b, &in, budget)
+	if used != charge || ok != (charge <= budget) {
+		t.Fatalf("%s: fits reports %d bytes (ok %t) under budget %d, union charges %d",
+			where, used, ok, budget, charge)
+	}
+	if !ok {
+		return
+	}
+	sel := rs.selectAll(&p.selScratch, h, used)
+	ref := Select(want, budget, SelectOptions{SizeOf: p.sizeOf, DegreeOf: h.DegreeFunc(), Resort: true, Free: b})
+	if !sel.Files.Equal(ref.Files) || sel.Value != ref.Value || sel.BudgetUsed != ref.BudgetUsed ||
+		len(sel.Chosen) != len(ref.Chosen) || sel.SingleWinner != ref.SingleWinner {
+		t.Fatalf("%s: all-fit selection %+v, greedy %+v", where, sel, ref)
 	}
 }
 

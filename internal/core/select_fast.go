@@ -54,17 +54,43 @@ type resortState struct {
 	chosenList []int
 	files      []bundle.FileID
 
-	// Per-run file price table, dense by FileID and epoch-stamped: when
+	// File price table, dense by FileID and epoch-stamped: when
 	// fstamp[f] == fgen, fsize[f] is s(f) and fsprime[f] is s'(f) =
 	// s(f)/d(f). SizeOf and DegreeOf are fixed for the duration of one run,
 	// so pricing each file once turns every later charge — the dominant term
 	// of build and repair walks — into two loads instead of two dynamic
 	// calls and a divide. fsprime stores the exact quotient the reference's
 	// adjustedDenominator computes, so sums remain bit-identical.
-	fsize   []bundle.Size
-	fsprime []float64
-	fstamp  []uint32
-	fgen    uint32
+	//
+	// By default every run starts a new epoch. An owner whose degrees change
+	// only when its history gains an entry calls keepPrices before each run
+	// instead: the stamps then survive across runs until the history length
+	// it passes changes (DESIGN.md §13.6).
+	fsize     []bundle.Size
+	fsprime   []float64
+	fstamp    []uint32
+	fgen      uint32
+	kept      bool
+	pricedLen int
+}
+
+// keepPrices makes the next runs reuse the stamped prices as long as n, the
+// length of the history whose degrees DegreeOf reads, stays the same.
+func (s *resortState) keepPrices(n int) {
+	s.kept = true
+	if s.fgen == 0 || n != s.pricedLen {
+		s.pricedLen = n
+		s.newPrices()
+	}
+}
+
+// newPrices starts a price epoch: every stamp goes stale at once.
+func (s *resortState) newPrices() {
+	s.fgen++
+	if s.fgen == 0 {
+		clear(s.fstamp)
+		s.fgen = 1
+	}
 }
 
 // reset prepares the scratch for n candidates. Stamp sets advance their
@@ -103,16 +129,14 @@ func (s *resortState) reset(n int) {
 	}
 	s.touched = s.touched[:0]
 	s.chosenList = s.chosenList[:0]
-	s.fgen++
-	if s.fgen == 0 {
-		clear(s.fstamp)
-		s.fgen = 1
+	if !s.kept {
+		s.newPrices()
 	}
 }
 
-// priceFile computes and stamps f's price for this run, growing the dense
+// priceFile computes and stamps f's price for this epoch, growing the dense
 // tables on first sight of a larger FileID. The hot paths test the stamp
-// inline and only land here once per file per run.
+// inline and only land here once per file per epoch.
 func (s *resortState) priceFile(f bundle.FileID, opts SelectOptions) {
 	if int(f) >= len(s.fstamp) {
 		n := max(int(f)+1, 2*len(s.fstamp))

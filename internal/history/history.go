@@ -70,12 +70,19 @@ type History struct {
 	order   []*Entry // every entry in insertion order; append-only
 	clock   uint64
 
-	// degree is d(f) stored densely, indexed by FileID. Catalog IDs are
-	// sequential small integers, so a slice turns the per-file degree lookup
-	// on the selection hot path (every s'(f) = s(f)/d(f) term) from a map
-	// probe into a bounds-checked load. Entries at or past len(degree) have
-	// degree 0 (never seen).
-	degree []int32
+	// files is the file → entry-slot posting index, one row per FileID
+	// (catalog IDs are sequential small integers, so a dense slice turns
+	// every per-file lookup into a bounds-checked load instead of a map
+	// probe). Row f's list holds the order indices ("slots") of the
+	// entries that contain f, ascending, in postings[off:off+n]; its
+	// length n is the degree d(f) of every s'(f) = s(f)/d(f) term. Rows at
+	// or past len(files) have degree 0 (never seen). All lists share the
+	// one postings arena: a full list moves to the arena's end with
+	// double the room, so an append costs O(1) amortized, and the ranges
+	// a list has used add up to less than twice its room — about four
+	// times its postings.
+	files    []fileRow
+	postings []int32
 
 	// keyBuf is the scratch key buffer: lookups probe entries with
 	// string(keyBuf) (a no-copy map access), and only inserts materialize
@@ -85,6 +92,12 @@ type History struct {
 	degFn  func(bundle.FileID) int
 }
 
+// fileRow locates one file's posting list in the arena: n slots in use
+// out of room reserved at off.
+type fileRow struct {
+	off, n, room int32
+}
+
 // New returns an empty history with the given configuration.
 func New(cfg Config) *History {
 	h := &History{
@@ -92,8 +105,8 @@ func New(cfg Config) *History {
 		entries: make(map[string]*Entry),
 	}
 	h.degFn = func(f bundle.FileID) int {
-		if i := int(f); i < len(h.degree) {
-			if d := h.degree[i]; d > 0 {
+		if i := int(f); i < len(h.files) {
+			if d := h.files[i].n; d > 0 {
 				return int(d)
 			}
 		}
@@ -118,9 +131,10 @@ func (h *History) ObserveValued(b bundle.Bundle, delta float64) *Entry {
 	if !ok {
 		e = &Entry{Bundle: b.Clone()}
 		h.entries[string(h.keyBuf)] = e
+		slot := int32(len(h.order))
 		h.order = append(h.order, e)
 		for _, f := range e.Bundle {
-			h.degreeInc(f)
+			h.post(f, slot)
 		}
 	}
 	e.Value += delta
@@ -138,14 +152,48 @@ func (h *History) Lookup(b bundle.Bundle) (*Entry, bool) {
 // Len reports the number of distinct requests recorded.
 func (h *History) Len() int { return len(h.entries) }
 
-// degreeInc adds one to d(f), growing the dense table on first sight of a
-// new FileID. Entries are never removed, so degrees only grow.
-func (h *History) degreeInc(f bundle.FileID) {
-	i := int(f)
-	if i >= len(h.degree) {
-		h.degree = append(h.degree, make([]int32, i+1-len(h.degree))...)
+// At returns the entry at slot i: the i-th distinct request, counted from
+// 0 in first-seen order. Slots never move (the order is append-only), so a
+// slot names the same entry for the history's lifetime. Entries are shared
+// (do not mutate).
+func (h *History) At(i int) *Entry { return h.order[i] }
+
+// SlotsOf returns the slots of the entries that contain f, ascending; its
+// length is d(f). The slice aliases the posting arena: callers must not
+// modify it, and it is valid only until the next Observe that adds an entry.
+func (h *History) SlotsOf(f bundle.FileID) []int32 {
+	if i := int(f); i < len(h.files) {
+		r := h.files[i]
+		return h.postings[r.off : r.off+r.n]
 	}
-	h.degree[i]++
+	return nil
+}
+
+// post appends slot to f's posting list, growing the dense table on first
+// sight of a new FileID. Entries are never removed, so lists only grow.
+func (h *History) post(f bundle.FileID, slot int32) {
+	i := int(f)
+	if i >= len(h.files) {
+		h.files = append(h.files, make([]fileRow, i+1-len(h.files))...)
+	}
+	r := &h.files[i]
+	if r.n == r.room {
+		// Move the list to the arena's end with double the room; the old
+		// range is left behind. The arena itself grows geometrically too,
+		// so neither step reallocates per append.
+		room := max(2*r.room, 4)
+		off := len(h.postings)
+		if need := off + int(room); need > cap(h.postings) {
+			grown := make([]int32, off, max(need, 2*cap(h.postings), 256))
+			copy(grown, h.postings)
+			h.postings = grown
+		}
+		h.postings = append(h.postings, h.postings[r.off:r.off+r.n]...)
+		h.postings = h.postings[:off+int(room)]
+		r.off, r.room = int32(off), room
+	}
+	h.postings[r.off+r.n] = slot
+	r.n++
 }
 
 // DegreeFunc returns the degree lookup as a closure, with a floor of 1 so the
@@ -160,9 +208,9 @@ func (h *History) DegreeFunc() func(bundle.FileID) int {
 // (1 − e^{−1/d}) approximation bound.
 func (h *History) MaxDegree() int {
 	max := int32(0)
-	for _, d := range h.degree {
-		if d > max {
-			max = d
+	for _, r := range h.files {
+		if r.n > max {
+			max = r.n
 		}
 	}
 	return int(max)

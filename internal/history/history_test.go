@@ -1,6 +1,8 @@
 package history
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -38,13 +40,10 @@ func TestObserveValued(t *testing.T) {
 	}
 }
 
-// degree reads d(f) from the dense table: 0 for a file never seen, where
-// DegreeFunc floors at 1.
+// degree reads d(f) as the length of f's posting list: 0 for a file never
+// seen, where DegreeFunc floors at 1.
 func degree(h *History, f bundle.FileID) int {
-	if int(f) < len(h.degree) {
-		return int(h.degree[f])
-	}
-	return 0
+	return len(h.SlotsOf(f))
 }
 
 func TestDegrees(t *testing.T) {
@@ -204,5 +203,35 @@ func BenchmarkObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(bundles[i%len(bundles)])
+	}
+}
+
+// TestSlotsOfMatchesScan holds the posting index to a scan of the history:
+// for every file, the slots of the entries that contain it, ascending, over
+// random histories large enough that lists move inside the arena many
+// times. Repeated observations must not post an entry twice.
+func TestSlotsOfMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 50 {
+		universe := 1 + rng.Intn(200)
+		h := New(Config{})
+		for range rng.Intn(400) {
+			ids := make([]bundle.FileID, rng.Intn(8))
+			for j := range ids {
+				ids[j] = bundle.FileID(rng.Intn(universe))
+			}
+			h.Observe(bundle.New(ids...))
+		}
+		for f := range bundle.FileID(universe + 1) {
+			var want []int32
+			for j := range h.Len() {
+				if h.At(j).Bundle.Contains(f) {
+					want = append(want, int32(j))
+				}
+			}
+			if got := h.SlotsOf(f); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: SlotsOf(%d) = %v, scan %v", trial, f, got, want)
+			}
+		}
 	}
 }

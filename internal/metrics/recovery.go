@@ -131,7 +131,7 @@ func (t *RecoveryTracker) ObserveJob(at float64, hit bool) {
 				from = t.lastAt
 			}
 			if at > from {
-				s.postIntegral += r0 * (at - from)
+				s.postIntegral += float64(r0 * (at - from)) // rounded alone: never fused
 				s.postSpan += at - from
 			}
 		}

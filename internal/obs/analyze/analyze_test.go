@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -433,6 +434,40 @@ func TestStatsMatchesRunEvents(t *testing.T) {
 	} {
 		if c.trace != c.run {
 			t.Errorf("%s: trace says %d, RunEvents says %d", c.name, c.trace, c.run)
+		}
+	}
+}
+
+// TestDiffAndSummarizeSortTheirListings feeds Diff twenty event kinds and
+// Summarize twenty policies, inserted in descending order, and requires
+// both listings ascending. With that many keys an unsorted listing would
+// come out in map order, which the repetitions make certain to show.
+func TestDiffAndSummarizeSortTheirListings(t *testing.T) {
+	var events []traceio.Event
+	for i := 19; i >= 0; i-- {
+		events = append(events,
+			traceio.Event{Kind: fmt.Sprintf("kind-%02d", i), Ev: obs.LoadEvent{File: int64(i)}},
+			traceio.Event{Kind: obs.KindAdmit, Ev: obs.AdmitEvent{Policy: fmt.Sprintf("policy-%02d", i)}})
+	}
+	for range 10 {
+		d := Diff(events, events)
+		if len(d.Kinds) != 21 {
+			t.Fatalf("Diff lists %d kinds, want 21", len(d.Kinds))
+		}
+		for i := 1; i < len(d.Kinds); i++ {
+			if d.Kinds[i-1].Kind >= d.Kinds[i].Kind {
+				t.Fatalf("Diff kinds out of order: %q before %q", d.Kinds[i-1].Kind, d.Kinds[i].Kind)
+			}
+		}
+		s := Summarize(events, SummaryOptions{})
+		if len(s.Policies) != 20 {
+			t.Fatalf("Summarize lists %d policies, want 20", len(s.Policies))
+		}
+		for i := 1; i < len(s.Policies); i++ {
+			if s.Policies[i-1].Policy >= s.Policies[i].Policy {
+				t.Fatalf("Summarize policies out of order: %q before %q",
+					s.Policies[i-1].Policy, s.Policies[i].Policy)
+			}
 		}
 	}
 }

@@ -176,7 +176,9 @@ func (s *lfuScorer) onEvict(f bundle.FileID) {
 }
 func (s *lfuScorer) score(f bundle.FileID) float64 {
 	// Primary: frequency. Secondary: recency (scaled far below one count).
-	return float64(s.count[f]) + float64(s.last[f])*1e-12
+	// The outer conversion rounds the product on its own, so no GOARCH can
+	// fuse it into the add.
+	return float64(s.count[f]) + float64(float64(s.last[f])*1e-12)
 }
 
 // NewLFU returns a least-frequently-used policy with LRU tie-breaking.

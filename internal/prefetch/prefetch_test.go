@@ -137,3 +137,22 @@ func TestWrapPanics(t *testing.T) {
 	}()
 	Wrap(nil, unit, Options{})
 }
+
+// TestRelatedCutsTiesByID gives f more equally confident associates than
+// k: the cut must keep the k lowest IDs, in order, whatever order the
+// co-occurrence map yields them in. Repeated so that a cut taken before
+// sorting cannot pass by luck of the map order.
+func TestRelatedCutsTiesByID(t *testing.T) {
+	ids := []bundle.FileID{1}
+	for g := bundle.FileID(40); g > 20; g-- {
+		ids = append(ids, g)
+	}
+	for range 20 {
+		m := NewModel()
+		m.Observe(bundle.New(ids...)) // conf(1->g) = 1 for all 20 associates
+		rel := m.Related(1, 3, 0.5)
+		if len(rel) != 3 || rel[0] != 21 || rel[1] != 22 || rel[2] != 23 {
+			t.Fatalf("Related = %v, want [21 22 23]", rel)
+		}
+	}
+}

@@ -32,7 +32,7 @@ func (s *Summary) Add(x float64) {
 	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
+	s.m2 += float64(delta * (x - s.mean)) // rounded alone: never fused
 }
 
 // N reports the number of observations.
@@ -78,13 +78,15 @@ func Quantile(data []float64, q float64) float64 {
 	s := make([]float64, len(data))
 	copy(s, data)
 	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
+	// Each product is converted so that it rounds on its own: the Go spec
+	// lets a compiler fuse x*y + z into one rounding, and arm64's does.
+	pos := float64(q * float64(len(s)-1))
 	i := int(pos)
 	if i >= len(s)-1 {
 		return s[len(s)-1]
 	}
 	frac := pos - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac
+	return float64(s[i]*(1-frac)) + float64(s[i+1]*frac)
 }
 
 // ChiSquare computes the chi-square statistic of observed counts against
@@ -96,7 +98,7 @@ func ChiSquare(observed []int64, probs []float64) float64 {
 	}
 	var chi2 float64
 	for i, o := range observed {
-		e := probs[i] * float64(n)
+		e := float64(probs[i] * float64(n)) // rounded alone: never fused
 		if floats.AlmostZero(e) {
 			continue
 		}
