@@ -36,6 +36,10 @@ var manifest = map[string][]Contract{
 		{Func: "chargedSize", Directives: []string{"noescape", "inline", "nobce"}},
 		{Func: "(*OptFileBundle).RelativeValue", Directives: []string{"noescape", "nobce"}},
 		{Func: "hasBit", Directives: []string{"noescape", "inline"}},
+		{Func: "(*residentSet).scan", Directives: []string{"noescape"}},
+		{Func: "(*resortState).denomSkip", Directives: []string{"noescape", "nobce"}},
+		{Func: "(*residentSet).join", Directives: []string{"noescape", "nobce"}},
+		{Func: "(*residentSet).ordered", Directives: []string{"noescape"}},
 	},
 	// Cache accessors sit inside every admission and eviction decision;
 	// they must stay cheap enough to inline and must not force their

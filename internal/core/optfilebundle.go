@@ -203,7 +203,7 @@ func (p *OptFileBundle) Admit(b bundle.Bundle) Result {
 	p.loadedScratch = p.loadedScratch[:0]
 
 	if p.cache.Free() < needed || p.opts.LiteralEvict {
-		p.replace(b, needed)
+		p.replace(b, needed, p.cache.Capacity()-res.BytesRequested)
 	}
 
 	for _, f := range missing {
@@ -248,8 +248,9 @@ func (p *OptFileBundle) Admit(b bundle.Bundle) Result {
 }
 
 // replace frees space for an incoming bundle b whose missing files need
-// `needed` bytes, using OptCacheSelect to decide what to keep.
-func (p *OptFileBundle) replace(b bundle.Bundle, needed bundle.Size) {
+// `needed` bytes, using OptCacheSelect to decide what to keep among the
+// requests that fit budget, the capacity left after b.
+func (p *OptFileBundle) replace(b bundle.Bundle, needed, budget bundle.Size) {
 	// The keep-set starts as the incoming bundle, which is also the set the
 	// cache-resident filter tests against; the selection's files join it
 	// after the round.
@@ -258,7 +259,7 @@ func (p *OptFileBundle) replace(b bundle.Bundle, needed bundle.Size) {
 	for _, f := range b {
 		keep.add(f)
 	}
-	sel := p.runSelection(b, keep)
+	sel := p.runSelection(b, keep, budget)
 	keep.addAscending(sel.Files)
 
 	// Evictable: resident and outside the keep-set, computed a word at a
@@ -326,16 +327,16 @@ func (p *OptFileBundle) replace(b bundle.Bundle, needed bundle.Size) {
 
 // runSelection converts the (possibly truncated) history candidates into
 // Select inputs and runs OptCacheSelect with the incoming bundle's space
-// reserved (Free = b, capacity reduced by s(F(b))). in holds exactly b's
-// files; p.missScratch holds b's non-resident ones.
-func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
+// reserved: Free = b, and budget is the capacity less s(F(b)), which Admit
+// has already summed. in holds exactly b's files; p.missScratch holds b's
+// non-resident ones.
+func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet, budget bundle.Size) Selection {
 	opts := SelectOptions{
 		SizeOf:   p.sizeOf,
 		DegreeOf: p.hist.DegreeFunc(),
 		Resort:   true,
 		Free:     b,
 	}
-	budget := p.cache.Capacity() - b.TotalSize(p.sizeOf)
 	// Degrees change only when the history gains an entry, so file prices
 	// stay valid across rounds until then.
 	p.selScratch.keepPrices(p.hist.Len())
@@ -352,10 +353,9 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle, in *fileSet) Selection {
 			p.checkResident(b)
 		}
 		if p.opts.SeedK == 0 {
-			if used, ok := rs.fits(p.hist, b, in, budget); ok {
-				sel := rs.selectAll(&p.selScratch, p.hist, used)
+			if sel, m := rs.certify(&p.selScratch, p.hist, b, in, budget, opts); m >= 0 {
 				if invariant.Enabled {
-					p.checkAllFit(sel, budget, opts)
+					p.checkCertified(sel, m, budget, opts)
 				}
 				p.traceRound(rs.candidates(), budget, sel)
 				return sel
@@ -431,17 +431,17 @@ func (p *OptFileBundle) checkResident(b bundle.Bundle) {
 		"core: supported entries cover %d bytes, maintained %d", bytes, rs.coverBytes)
 }
 
-// checkAllFit holds a round that skipped the ranking to what the greedy
-// computes on the same candidates, on every field OptFileBundle reads.
-// Armed builds only.
-func (p *OptFileBundle) checkAllFit(sel Selection, budget bundle.Size, opts SelectOptions) {
+// checkCertified holds a round that certify selected with an m-member
+// tail to what the greedy computes on the same candidates, run on fresh
+// scratch, on every field OptFileBundle reads. Armed builds only.
+func (p *OptFileBundle) checkCertified(sel Selection, m int, budget bundle.Size, opts SelectOptions) {
 	cands := p.resident.appendCandidates(nil, p.hist)
 	var fresh resortState
 	want := selectScratch(&fresh, cands, budget, opts)
 	invariant.Check(sel.Files.Equal(want.Files) && !(sel.Value < want.Value || sel.Value > want.Value) &&
 		sel.BudgetUsed == want.BudgetUsed && len(sel.Chosen) == len(want.Chosen) &&
 		sel.SingleWinner == want.SingleWinner,
-		"core: all-fit round %+v differs from the greedy's %+v", sel, want)
+		"core: round certified with a %d-member tail %+v differs from the greedy's %+v", m, sel, want)
 }
 
 // RelativeValue scores a pending request for queue scheduling (§5.2

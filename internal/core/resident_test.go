@@ -14,12 +14,15 @@ import (
 // every history entry, in history order, after random sequences of
 // admissions, history observations that bypass Admit, and loads and
 // evictions made directly on Cache(). It also holds the set's charge for
-// taking every candidate to s(U \ b) recounted from the union U, and a
-// round that fits to the greedy's selection on every field the policy
-// reads. File IDs range past one residency word and include zero-size
-// files.
+// taking every candidate to s(U \ b) recounted from the union U, and every
+// round that certify selects to the greedy's selection on every field the
+// policy reads. Budgets fall both anywhere below the union's charge and
+// just below it, where tails certify; the test fails unless tails of one
+// and of several members certify at least once. File IDs range past one
+// residency word and include zero-size files.
 func TestMaintainedCandidatesMatchDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var tails [maxTail + 1]int // certified rounds by tail size
 	for trial := range 300 {
 		universe := 1 + rng.Intn(90)
 		sizes := make([]bundle.Size, universe)
@@ -48,16 +51,27 @@ func TestMaintainedCandidatesMatchDefinition(t *testing.T) {
 			case op < 9:
 				h.Observe(randomBundle())
 			default:
-				checkMaintainedRound(t, rng, p, randomBundle(), fmt.Sprintf("trial %d step %d", trial, step))
+				if m := checkMaintainedRound(t, rng, p, randomBundle(), fmt.Sprintf("trial %d step %d", trial, step)); m >= 0 {
+					tails[m]++
+				}
 			}
 		}
+	}
+	t.Logf("certified rounds by tail size: %v", tails)
+	several := 0
+	for _, n := range tails[2:] {
+		several += n
+	}
+	if tails[0] == 0 || tails[1] == 0 || several == 0 {
+		t.Fatalf("certified rounds by tail size %v: want all-fit, one-member and larger tails", tails)
 	}
 }
 
 // checkMaintainedRound runs the maintained set's part of a replacement
-// round for incoming bundle b, under a random budget around the union's
-// charge, and compares each answer with its definition.
-func checkMaintainedRound(t *testing.T, rng *rand.Rand, p *OptFileBundle, b bundle.Bundle, where string) {
+// round for incoming bundle b, under a random budget at or below the
+// union's charge, compares each answer with its definition, and returns
+// the size of the tail certify took the round with (-1: not certified).
+func checkMaintainedRound(t *testing.T, rng *rand.Rand, p *OptFileBundle, b bundle.Bundle, where string) int {
 	t.Helper()
 	c, h, rs := p.Cache(), p.History(), &p.resident
 	var in fileSet
@@ -96,20 +110,122 @@ func checkMaintainedRound(t *testing.T, rng *rand.Rand, p *OptFileBundle, b bund
 			charge += p.sizeOf(f)
 		}
 	}
+	if used := rs.charge(h, b, &in); used != charge {
+		t.Fatalf("%s: charge reports %d bytes, union charges %d", where, used, charge)
+	}
 	budget := bundle.Size(rng.Intn(int(charge) + 2))
-	used, ok := rs.fits(h, b, &in, budget)
-	if used != charge || ok != (charge <= budget) {
-		t.Fatalf("%s: fits reports %d bytes (ok %t) under budget %d, union charges %d",
-			where, used, ok, budget, charge)
+	if rng.Intn(2) == 0 {
+		budget = max(0, charge-bundle.Size(rng.Intn(6)))
 	}
-	if !ok {
-		return
+	rs.gather(h, c.Missing(b)) // a new round: charge counts once per round
+	p.selScratch.keepPrices(h.Len())
+	opts := SelectOptions{SizeOf: p.sizeOf, DegreeOf: h.DegreeFunc(), Resort: true, Free: b}
+	sel, m := rs.certify(&p.selScratch, h, b, &in, budget, opts)
+	if (m == 0) != (charge <= budget) {
+		t.Fatalf("%s: certified with a %d-member tail under budget %d, union charges %d", where, m, budget, charge)
 	}
-	sel := rs.selectAll(&p.selScratch, h, used)
-	ref := Select(want, budget, SelectOptions{SizeOf: p.sizeOf, DegreeOf: h.DegreeFunc(), Resort: true, Free: b})
-	if !sel.Files.Equal(ref.Files) || sel.Value != ref.Value || sel.BudgetUsed != ref.BudgetUsed ||
-		len(sel.Chosen) != len(ref.Chosen) || sel.SingleWinner != ref.SingleWinner {
-		t.Fatalf("%s: all-fit selection %+v, greedy %+v", where, sel, ref)
+	if m < 0 {
+		return m
+	}
+	ref := Select(want, budget, opts)
+	if !sameRound(sel, ref) {
+		t.Fatalf("%s: round certified with a %d-member tail selects %+v, greedy %+v", where, m, sel, ref)
+	}
+	return m
+}
+
+// sameRound compares two selections on every field OptFileBundle reads:
+// Files, Value, BudgetUsed, the number chosen and SingleWinner.
+func sameRound(a, b Selection) bool {
+	return a.Files.Equal(b.Files) && a.Value == b.Value && a.BudgetUsed == b.BudgetUsed &&
+		len(a.Chosen) == len(b.Chosen) && a.SingleWinner == b.SingleWinner
+}
+
+// handEntry is one history entry of a hand-built round: its bundle and
+// how many times it was requested.
+type handEntry struct {
+	files []bundle.FileID
+	count int
+}
+
+// handRound builds a policy whose history holds entries, in order, with
+// every file of them resident, runs certify for incoming bundle b under
+// budget, and returns its selection, its tail size, and the greedy's
+// selection over the same candidates.
+func handRound(t *testing.T, sizes map[bundle.FileID]bundle.Size, entries []handEntry, b bundle.Bundle, budget bundle.Size) (Selection, int, Selection) {
+	t.Helper()
+	sizeOf := func(f bundle.FileID) bundle.Size { return sizes[f] }
+	p := New(1000, sizeOf, DefaultOptions())
+	c, h, rs := p.Cache(), p.History(), &p.resident
+	var want []Candidate
+	for _, e := range entries {
+		eb := bundle.New(e.files...)
+		for range e.count {
+			h.Observe(eb)
+		}
+		for _, f := range eb {
+			if !c.Contains(f) {
+				if err := c.Insert(f, sizes[f]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want = append(want, Candidate{Bundle: eb, Value: float64(e.count)})
+	}
+	var in fileSet
+	for _, f := range b {
+		in.add(f)
+	}
+	rs.sync(h, c, sizeOf)
+	rs.gather(h, c.Missing(b))
+	p.selScratch.keepPrices(h.Len())
+	opts := SelectOptions{SizeOf: sizeOf, DegreeOf: h.DegreeFunc(), Resort: true, Free: b}
+	sel, m := rs.certify(&p.selScratch, h, b, &in, budget, opts)
+	return sel, m, Select(want, budget, opts)
+}
+
+// TestCertifyHandBuiltRounds pins three rounds whose answers follow from
+// the certificate by hand. Every file has degree 1 except file 1, which x
+// and t share (s'(1) = 5); the incoming bundle is one new file.
+func TestCertifyHandBuiltRounds(t *testing.T) {
+	sizes := map[bundle.FileID]bundle.Size{1: 10, 2: 2, 3: 4, 4: 12, 9: 1}
+	x := handEntry{[]bundle.FileID{1}, 3}     // v' = 3/5
+	tt := handEntry{[]bundle.FileID{1, 2}, 1} // v' = 1/7, 1/2 once x is in
+	y := handEntry{[]bundle.FileID{3}, 1}     // v' = 1/4
+	z := handEntry{[]bundle.FileID{4}, 4}     // v' = 1/3
+	b := bundle.New(9)
+	for _, tc := range []struct {
+		name    string
+		entries []handEntry
+		budget  bundle.Size
+		m       int // the tail certify must take, -1 for none
+		chosen  int
+	}{
+		// Every pick of R fits at m = 1 and 2, but once x is in, t's key
+		// 1/2 outranks y (m = 1) and z (m = 2): the greedy takes x, t, z
+		// and parks y, so no tail may certify. At m = 3, z's value 4
+		// exceeds what R holds, so Step 3 might win.
+		{"t outranks the rest once x is in", []handEntry{x, tt, y, z}, 26, -1, 3},
+		// At m = 1 t outranks y; at m = 2 both tail members rank below x.
+		// The tail's greedy picks t and parks y.
+		{"two-member tail picks one, parks one", []handEntry{x, tt, y}, 14, 2, 2},
+		// y and y2 tie on v'(r) and v(r); y comes first in the history, so
+		// it is picked and y2 is the tail, parked for want of space.
+		{"a tie the index decides", []handEntry{x, y, {[]bundle.FileID{5}, 1}}, 14, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sizes[5] = 4
+			sel, m, want := handRound(t, sizes, tc.entries, b, tc.budget)
+			if m != tc.m {
+				t.Fatalf("certified with a %d-member tail, want %d", m, tc.m)
+			}
+			if len(want.Chosen) != tc.chosen {
+				t.Fatalf("the greedy chose %d candidates, want %d: %+v", len(want.Chosen), tc.chosen, want)
+			}
+			if m >= 0 && !sameRound(sel, want) {
+				t.Fatalf("certified selection %+v, greedy %+v", sel, want)
+			}
+		})
 	}
 }
 

@@ -190,6 +190,30 @@ func (s *resortState) chargedSizeSkip(b bundle.Bundle, sizeOf bundle.SizeFunc) b
 	return total
 }
 
+// denomSkip is Σ s'(f) over the files of b outside skip, summed in bundle
+// order — the denominator the greedy's build computes for a candidate
+// whose skip set is exactly skip — pricing each file on first sight in the
+// epoch.
+//
+//fbvet:noescape
+//fbvet:nobce
+func (s *resortState) denomSkip(b bundle.Bundle, skip *fileSet, opts SelectOptions) float64 {
+	var denom float64
+	for _, f := range b {
+		if skip.has(f) {
+			continue
+		}
+		fi := int(f)
+		if uint(fi) >= uint(len(s.fstamp)) || s.fstamp[fi] != s.fgen {
+			s.priceFile(f, opts)
+		}
+		if fsp := s.fsprime; uint(fi) < uint(len(fsp)) {
+			denom += fsp[fi]
+		}
+	}
+	return denom
+}
+
 // repair recomputes candidate j's charged size, adjusted denominator and
 // ranking key from its bundle, skipping covered files. Recomputing — rather
 // than incrementally subtracting the covered file's contribution — performs
@@ -300,19 +324,6 @@ func (s *resortState) run(cands []Candidate, capacity bundle.Size, opts SelectOp
 	var sel Selection
 	budget := capacity
 
-	// takeFiles records a pick's file effects: add them to the chosen set
-	// (which backs Selection.Files) and cover uncovered files into skip,
-	// collecting them for posting walks.
-	takeFiles := func(b bundle.Bundle) {
-		for _, f := range b {
-			s.chosen.add(f)
-			if !s.skip.has(f) {
-				s.skip.add(f)
-				s.covered = append(s.covered, f)
-			}
-		}
-	}
-
 	// Seeds are forced in before the heap is built: each pick covers files,
 	// and building the candidate table afterwards prices every remaining
 	// candidate against the post-seed skip set in one walk.
@@ -330,9 +341,58 @@ func (s *resortState) run(cands []Candidate, capacity bundle.Size, opts SelectOp
 		sel.Value += cands[sd].Value
 		s.st[sd].taken = true
 		s.covered = s.covered[:0]
-		takeFiles(cands[sd].Bundle)
+		s.take(cands[sd].Bundle)
 	}
 
+	s.greedy(cands, budget, opts, &sel)
+
+	// Step 3: the answer is the max of the greedy set and the single
+	// highest-value request that fits by itself (precomputed above). The
+	// solo winner's Files alias its candidate bundle — already canonical.
+	if soloIdx >= 0 && soloVal > sel.Value {
+		s.chosenList = append(s.chosenList[:0], soloIdx)
+		return Selection{
+			Chosen:       s.chosenList,
+			Files:        cands[soloIdx].Bundle,
+			Value:        soloVal,
+			SingleWinner: true,
+			BudgetUsed:   soloSize,
+		}
+	}
+
+	// Files: sorted, deduplicated union of the chosen candidates' files —
+	// the scratch-backed equivalent of the reference's setToBundle. The
+	// chosen set is dense by FileID, so walking it yields them ascending
+	// without a comparison sort.
+	s.files = s.chosen.appendMembers(s.files[:0])
+	sel.Files = bundle.Bundle(s.files)
+	sel.Chosen = s.chosenList
+	return sel
+}
+
+// take records a pick's file effects: add them to the chosen set (which
+// backs Selection.Files) and cover uncovered files into skip, collecting
+// them in covered for the posting walks.
+func (s *resortState) take(b bundle.Bundle) {
+	for _, f := range b {
+		s.chosen.add(f)
+		if !s.skip.has(f) {
+			s.skip.add(f)
+			s.covered = append(s.covered, f)
+		}
+	}
+}
+
+// greedy is the pop loop of the resort greedy: it prices every untaken
+// candidate against skip, builds the heap, and pops, parks and repairs
+// until the heap is empty, adding each pick to s.chosenList, s.chosen and
+// sel's Value and BudgetUsed. budget is what the picks may still charge.
+// run enters it after the Free files and the seeds; a certified §5.3 round
+// enters it with only its tail's candidates and skip already holding every
+// file the rest of the round covers (DESIGN.md §13.6). The heap's last
+// tie-break is the index into cands, so a caller that passes a subset must
+// keep the subset in its global index order.
+func (s *resortState) greedy(cands []Candidate, budget bundle.Size, opts SelectOptions, sel *Selection) {
 	// Price every untaken candidate and build the inverted index over the
 	// files that can still charge them.
 	for i := range cands {
@@ -376,7 +436,7 @@ func (s *resortState) run(cands []Candidate, capacity bundle.Size, opts SelectOp
 		row.taken = true
 
 		s.covered = s.covered[:0]
-		takeFiles(cands[i].Bundle)
+		s.take(cands[i].Bundle)
 
 		// Collect the candidates this pick dirtied — the union of the
 		// covered files' posting lists, deduped by generation stamp — then
@@ -417,29 +477,6 @@ func (s *resortState) run(cands []Candidate, capacity bundle.Size, opts SelectOp
 		}
 		s.rh.checkOrder(s.st)
 	}
-
-	// Step 3: the answer is the max of the greedy set and the single
-	// highest-value request that fits by itself (precomputed above). The
-	// solo winner's Files alias its candidate bundle — already canonical.
-	if soloIdx >= 0 && soloVal > sel.Value {
-		s.chosenList = append(s.chosenList[:0], soloIdx)
-		return Selection{
-			Chosen:       s.chosenList,
-			Files:        cands[soloIdx].Bundle,
-			Value:        soloVal,
-			SingleWinner: true,
-			BudgetUsed:   soloSize,
-		}
-	}
-
-	// Files: sorted, deduplicated union of the chosen candidates' files —
-	// the scratch-backed equivalent of the reference's setToBundle. The
-	// chosen set is dense by FileID, so walking it yields them ascending
-	// without a comparison sort.
-	s.files = s.chosen.appendMembers(s.files[:0])
-	sel.Files = bundle.Bundle(s.files)
-	sel.Chosen = s.chosenList
-	return sel
 }
 
 // selectResortFast runs the incremental resort greedy with fresh scratch —

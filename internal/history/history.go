@@ -1,6 +1,6 @@
 // Package history implements the L(R) request-history structure from the
 // paper (§3): for every distinct bundle ever requested it tracks a value
-// v(r) (by default a popularity counter), and for every file the degree
+// v(r), a popularity counter, and for every file the degree
 // d(f) — the number of distinct requests that need it.
 //
 // The paper's §5.2 "Request History Length" experiments truncate the
@@ -20,7 +20,7 @@ import (
 // Entry is one distinct request in the history.
 type Entry struct {
 	Bundle   bundle.Bundle
-	Value    float64 // v(r): popularity counter or externally supplied weight
+	Value    float64 // v(r): the popularity counter
 	LastSeen uint64  // logical time of most recent observation
 }
 
@@ -119,12 +119,6 @@ func New(cfg Config) *History {
 // returns the entry. This is the paper's "counter incremented by 1 each time
 // this request appeared".
 func (h *History) Observe(b bundle.Bundle) *Entry {
-	return h.ObserveValued(b, 1)
-}
-
-// ObserveValued records one occurrence of b with the given value increment,
-// supporting priority-weighted requests.
-func (h *History) ObserveValued(b bundle.Bundle, delta float64) *Entry {
 	h.clock++
 	h.keyBuf = b.AppendKey(h.keyBuf[:0])
 	e, ok := h.entries[string(h.keyBuf)]
@@ -137,7 +131,7 @@ func (h *History) ObserveValued(b bundle.Bundle, delta float64) *Entry {
 			h.post(f, slot)
 		}
 	}
-	e.Value += delta
+	e.Value++
 	e.LastSeen = h.clock
 	return e
 }

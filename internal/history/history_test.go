@@ -31,15 +31,6 @@ func TestObserveAccumulatesValue(t *testing.T) {
 	}
 }
 
-func TestObserveValued(t *testing.T) {
-	h := New(Config{})
-	e := h.ObserveValued(bundle.New(1), 5)
-	h.ObserveValued(bundle.New(1), 2.5)
-	if e.Value != 7.5 {
-		t.Errorf("Value = %v, want 7.5", e.Value)
-	}
-}
-
 // degree reads d(f) as the length of f's posting list: 0 for a file never
 // seen, where DegreeFunc floors at 1.
 func degree(h *History, f bundle.FileID) int {

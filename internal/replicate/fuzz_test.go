@@ -198,7 +198,9 @@ func FuzzReplanMatchesReference(f *testing.F) {
 				v := float64(in.pick(4)) / 2 // zero-value observations included
 				pred.Observe(now, b, v)
 				refPred.Observe(now, b, v)
-				hist.ObserveValued(b, v)
+				for range 1 + int(v) { // one or two requests
+					hist.Observe(b)
+				}
 			case 2, 4:
 				now += float64(in.pick(64))
 			case 3:
