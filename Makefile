@@ -124,7 +124,8 @@ BENCH_CORE = $(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunE
 		-require RunEvents -require 'RunEvents/replication' -require RunOptFileBundle1000
 BENCH_REPLICATE = $(GO) test -run '^$$' -bench 'BenchmarkPlan|BenchmarkPredictorObserve|BenchmarkReplan' \
 	-cpu 1 -benchmem -benchtime=100x ./internal/replicate/ \
-	| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan -require 'Replan/steady'
+	| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan -require 'Replan/steady' \
+		-require 'Replan/full'
 
 # bench-json runs the core/landlord/simulate benchmarks and converts the
 # text output into schema-versioned JSON (BENCH_core.json) via benchjson —
@@ -156,7 +157,7 @@ bench-compare:
 
 # bench-json-replicate snapshots the replication planner's benchmarks
 # (static Plan, per-arrival predictor fold, Replan epochs on a fresh and on
-# a reused planner) into
+# a reused planner, and the full-budget epoch that plants nothing) into
 # BENCH_replicate.json — the planner runs inside the event loop every epoch,
 # so its cost curve is gated like the core select loops.
 bench-json-replicate:

@@ -89,14 +89,13 @@ type OptFileBundle struct {
 	// Selection and eviction scratch reused across admissions, so the
 	// steady-state Admit path allocates nothing (DESIGN.md §13); the perf
 	// contracts on the selector internals keep it that way.
-	selScratch      resortState
-	candScratch     []Candidate
-	entriesScratch  []*history.Entry
-	missScratch     bundle.Bundle
-	loadedScratch   []bundle.FileID
-	keepScratch     fileSet
-	residentScratch bundle.Bundle
-	evictScratch    []uint64
+	selScratch     resortState
+	candScratch    []Candidate
+	entriesScratch []*history.Entry
+	missScratch    bundle.Bundle
+	loadedScratch  []bundle.FileID
+	keepScratch    fileSet
+	evictScratch   []uint64
 
 	// resident is the §5.3 candidate set, maintained across admissions
 	// under cache-resident truncation (DESIGN.md §13.6).
@@ -500,34 +499,31 @@ func (p *OptFileBundle) evictLazy(evictable []uint64, needed bundle.Size) {
 
 // shedKeep evicts unpinned keep-set files not required by b, smallest value
 // first, until `needed` bytes are free. This only triggers when pins
-// prevented normal replacement.
+// prevented normal replacement. Like replace, it lists each candidate as
+// its eviction key d(f)<<32 | f in reused scratch, so the (degree, ID)
+// order is a sort of distinct integers; b's files and pinned files are
+// left out of the list rather than skipped in the walk, since evicting
+// changes neither.
 func (p *OptFileBundle) shedKeep(b bundle.Bundle, needed bundle.Size) {
-	p.residentScratch = p.cache.ResidentAppend(p.residentScratch[:0])
-	resident := p.residentScratch
 	deg := p.hist.DegreeFunc()
-	// The ID tie-break makes the (degree, ID) key a total order, so the
-	// shed sequence is deterministic even under equal degrees.
-	slices.SortFunc(resident, func(a, b bundle.FileID) int {
-		da, db := deg(a), deg(b)
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		case a < b:
-			return -1
-		case a > b:
-			return 1
+	keys := p.evictScratch[:0]
+	for w, word := range p.cache.ResidentWords() {
+		base := bundle.FileID(w) << 6
+		for word != 0 {
+			f := base + bundle.FileID(bits.TrailingZeros64(word))
+			word &= word - 1
+			if !b.Contains(f) && !p.cache.Pinned(f) {
+				keys = append(keys, uint64(deg(f))<<32|uint64(f))
+			}
 		}
-		return 0
-	})
-	for _, f := range resident {
+	}
+	p.evictScratch = keys
+	slices.Sort(keys)
+	for _, k := range keys {
 		if p.cache.Free() >= needed {
 			return
 		}
-		if b.Contains(f) || p.cache.Pinned(f) {
-			continue
-		}
+		f := bundle.FileID(k)
 		if err := p.cache.Evict(f); err == nil {
 			p.lastEvicted++
 			p.lastEvictedFiles = append(p.lastEvictedFiles, f)

@@ -426,7 +426,11 @@ func (r *residentSet) join(t bundle.Bundle, in *fileSet) bundle.Size {
 // bundle order — exactly the denominator a repair computes for t then.
 // While R is not all taken, the covered files lie in b ∪ U(R), so every
 // key of R is at least its initial key and every t's key at most hi_t: a
-// sum that skips non-negative terms never rounds larger.
+// sum that skips non-negative terms never rounds larger. A free member,
+// whose sum is 0 (hi_t = +Inf), is not tested: its exclusive files
+// outside b all have size 0, so whenever it pops it fits and charges
+// nothing beyond U(R), and the files it covers add only zero terms to
+// any other denominator (DESIGN.md §13.6).
 //
 //fbvet:noescape
 func (r *residentSet) ordered(s *resortState, h *history.History, m int, in *fileSet) bool {
@@ -445,6 +449,9 @@ func (r *residentSet) ordered(s *resortState, h *history.History, m int, in *fil
 			if fi := int(f); uint(fi) < uint(len(fsp)) {
 				denom += fsp[fi]
 			}
+		}
+		if !(denom > 0) {
+			continue // a free member
 		}
 		hi := heapItem{v: rankOf(t.key.value, denom), value: t.key.value, idx: t.key.idx}
 		if !better(&w, &hi) {

@@ -184,15 +184,19 @@ func handRound(t *testing.T, sizes map[bundle.FileID]bundle.Size, entries []hand
 	return sel, m, Select(want, budget, opts)
 }
 
-// TestCertifyHandBuiltRounds pins three rounds whose answers follow from
+// TestCertifyHandBuiltRounds pins four rounds whose answers follow from
 // the certificate by hand. Every file has degree 1 except file 1, which x
-// and t share (s'(1) = 5); the incoming bundle is one new file.
+// and t share (s'(1) = 5), and file 6, which p and fr share (s'(6) = 15);
+// the incoming bundle is file 9.
 func TestCertifyHandBuiltRounds(t *testing.T) {
-	sizes := map[bundle.FileID]bundle.Size{1: 10, 2: 2, 3: 4, 4: 12, 9: 1}
+	sizes := map[bundle.FileID]bundle.Size{1: 10, 2: 2, 3: 4, 4: 12, 6: 30, 7: 12, 9: 1}
 	x := handEntry{[]bundle.FileID{1}, 3}     // v' = 3/5
 	tt := handEntry{[]bundle.FileID{1, 2}, 1} // v' = 1/7, 1/2 once x is in
 	y := handEntry{[]bundle.FileID{3}, 1}     // v' = 1/4
 	z := handEntry{[]bundle.FileID{4}, 4}     // v' = 1/3
+	p := handEntry{[]bundle.FileID{6}, 3}     // v' = 1/5
+	fr := handEntry{[]bundle.FileID{6, 9}, 1} // v' = 1/15, +Inf once p is in
+	q := handEntry{[]bundle.FileID{7}, 1}     // v' = 1/12
 	b := bundle.New(9)
 	for _, tc := range []struct {
 		name    string
@@ -212,6 +216,14 @@ func TestCertifyHandBuiltRounds(t *testing.T) {
 		// y and y2 tie on v'(r) and v(r); y comes first in the history, so
 		// it is picked and y2 is the tail, parked for want of space.
 		{"a tie the index decides", []handEntry{x, y, {[]bundle.FileID{5}, 1}}, 14, 1, 2},
+		// The union charges 46. At m = 1 the tail fr frees nothing, since
+		// its one file outside b is p's too. At m = 2 q frees 12 and
+		// ranks below p, and fr is free: no exclusive file outside b, so
+		// hi = +Inf, yet it fits whenever it pops and charges nothing.
+		// The greedy takes y, p, then fr at +Inf, and parks q. Testing
+		// fr's hi like any other member's fails the order at m = 2, and at
+		// m = 3 p's value 3 exceeds R's 1, so the round would fall back.
+		{"a free tail member", []handEntry{p, fr, q, y}, 34, 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sizes[5] = 4

@@ -32,8 +32,17 @@ type Link struct {
 // (where the SRM's disk cache lives).
 type Topology struct {
 	sites []Site
-	links map[SiteID]map[SiteID]Link
-	local SiteID
+	// uplinks is dense by SiteID: uplinks[s] is the link between s and the
+	// local site. Every transfer lands in the local cache, so links between
+	// two remote sites are validated but not kept: no cost reads them.
+	uplinks []uplink
+	local   SiteID
+}
+
+// uplink is a site's link to the local site; ok is false when it has none.
+type uplink struct {
+	Link
+	ok bool
 }
 
 // NewTopology creates a topology with the given local site.
@@ -41,8 +50,9 @@ func NewTopology(localName string, localMSS mss.Config) (*Topology, error) {
 	if err := localMSS.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Topology{links: make(map[SiteID]map[SiteID]Link)}
+	t := &Topology{}
 	t.sites = append(t.sites, Site{Name: localName, MSS: localMSS})
+	t.uplinks = append(t.uplinks, uplink{})
 	t.local = 0
 	return t, nil
 }
@@ -54,6 +64,7 @@ func (t *Topology) AddSite(name string, cfg mss.Config) (SiteID, error) {
 	}
 	id := SiteID(len(t.sites))
 	t.sites = append(t.sites, Site{Name: name, MSS: cfg})
+	t.uplinks = append(t.uplinks, uplink{})
 	return id, nil
 }
 
@@ -68,14 +79,12 @@ func (t *Topology) Connect(a, b SiteID, link Link) error {
 	if link.BandwidthBps <= 0 || link.LatencySec < 0 {
 		return fmt.Errorf("grid: bad link %+v", link)
 	}
-	set := func(x, y SiteID) {
-		if t.links[x] == nil {
-			t.links[x] = make(map[SiteID]Link)
-		}
-		t.links[x][y] = link
+	switch t.local {
+	case a:
+		t.uplinks[b] = uplink{Link: link, ok: true}
+	case b:
+		t.uplinks[a] = uplink{Link: link, ok: true}
 	}
-	set(a, b)
-	set(b, a)
 	return nil
 }
 
@@ -106,8 +115,8 @@ func (t *Topology) TransferSeconds(from SiteID, size bundle.Size) float64 {
 	if from == t.local {
 		return cost
 	}
-	link, ok := t.links[from][t.local]
-	if !ok {
+	link := t.uplinks[from]
+	if !link.ok {
 		return math.Inf(1)
 	}
 	return cost + link.LatencySec + float64(size)/link.BandwidthBps
@@ -162,6 +171,12 @@ func (r *Replicas) Has(f bundle.FileID, s SiteID) bool {
 	}
 	return false
 }
+
+// Holders returns the sites holding f in registration order, without
+// copying: the slice is the catalog's own, so callers must neither modify
+// it nor keep it past the next Add or Remove. The replica re-planner
+// walks it once per hot file per epoch.
+func (r *Replicas) Holders(f bundle.FileID) []SiteID { return r.sitesOf(f) }
 
 // NumSitesOf reports how many sites hold a replica of f (0 if unknown).
 func (r *Replicas) NumSitesOf(f bundle.FileID) int { return len(r.sitesOf(f)) }

@@ -77,6 +77,11 @@ func BenchmarkPredictorObserve(b *testing.B) {
 // and plants a handful of replicas with the budget nearly full. The
 // observations between epochs are part of the timed loop (they are a few
 // hundred ns against an epoch's tens of µs).
+//
+// /full is the epoch shape sim-grid runs almost every time: no
+// retirement, the budget already spent, and a dark site holding every
+// tenth file alone, so the epoch can plant nothing and only reports those
+// files as unreachable.
 func BenchmarkReplan(b *testing.B) {
 	const n = 1000
 	sizeOf := sizeConst(bundle.MB)
@@ -136,6 +141,49 @@ func BenchmarkReplan(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			drift()
 			pl.Replan(now, nil)
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		topo, reps := benchGrid(b, n)
+		dark, err := topo.AddSite("dark", mss.Config{
+			Name: "tape", LatencySec: 10, BandwidthBps: 50e6, Channels: 2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := topo.Connect(topo.Local(), dark, grid.Link{LatencySec: 1, BandwidthBps: 20e6}); err != nil {
+			b.Fatal(err)
+		}
+		for f := bundle.FileID(0); f < n; f += 10 {
+			reps.Remove(f, 1)
+			reps.Add(f, dark)
+		}
+		avail := &fuzzAvail{down: []bool{false, false, true}, risky: []bool{false, false, true}}
+		pred := NewPredictor(PredictorConfig{HalfLifeSec: 500})
+		for f := 0; f < n; f++ {
+			pred.Observe(0, bundle.New(bundle.FileID(f)), float64(1+f%7))
+		}
+		pl, err := NewPlanner(topo, reps, sizeOf, pred, PlannerConfig{
+			Budget: n / 5 * bundle.MB, RiskHorizonSec: 10,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The first epoch spends the whole budget.
+		if ep := pl.Replan(0, avail); pl.PlantedBytes() != n/5*bundle.MB || len(ep.Unreachable) == 0 {
+			b.Fatalf("warm-up epoch planted %v bytes, %d unreachable", pl.PlantedBytes(), len(ep.Unreachable))
+		}
+		const epochSec = 40
+		now, hot := 0.0, 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			now += epochSec
+			for k := 0; k < 4; k++ {
+				hot = (hot + 37) % n
+				pred.Observe(now, bundle.New(bundle.FileID(hot)), 8)
+			}
+			pl.Replan(now, avail)
 		}
 	})
 }

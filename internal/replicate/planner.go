@@ -76,7 +76,21 @@ type Planner struct {
 	ranked      []grid.Source
 	emergencies []Action
 	normal      []candidate
+	unreachable []bundle.FileID
+	sources     []sourceState
+	// sourceBuf backs sources on grids of up to 8 sites, so a planner's
+	// first epoch allocates no site table.
+	sourceBuf [8]sourceState
 }
+
+// sourceState is what one site offers as a transfer source this epoch.
+type sourceState uint8
+
+const (
+	sourceDark   sourceState = iota // down: serves no file
+	sourceOpen                      // up and reachable whatever the size
+	sourceBySize                    // up; reachable if its cost is finite
+)
 
 type plantedReplica struct {
 	size    bundle.Size
@@ -91,7 +105,9 @@ func NewPlanner(topo *grid.Topology, reps *grid.Replicas, sizeOf bundle.SizeFunc
 	if cfg.Budget < 0 {
 		cfg.Budget = 0
 	}
-	return &Planner{topo: topo, reps: reps, sizeOf: sizeOf, pred: pred, cfg: cfg}, nil
+	pl := &Planner{topo: topo, reps: reps, sizeOf: sizeOf, pred: pred, cfg: cfg}
+	pl.sources = pl.sourceBuf[:0]
+	return pl, nil
 }
 
 // PlantedBytes reports the budget currently occupied by planner replicas.
@@ -102,10 +118,10 @@ func (pl *Planner) PlantedBytes() bundle.Size { return pl.used }
 // then fill the remaining budget densest-first from the predictor's decayed
 // heat. Down sites are skipped as sources; files with no live source are
 // reported, not fatal. The returned epoch's actions are already applied to
-// the replica catalog.
+// the replica catalog. An epoch that can plant nothing stops after the
+// retirement and the Unreachable report (idle).
 func (pl *Planner) Replan(now float64, avail Availability) Epoch {
 	ep := Epoch{At: now}
-	pl.heat = pl.pred.appendSnapshot(pl.heat[:0], now)
 	local := pl.topo.Local()
 
 	// Retirement first, so the reclaimed budget is available this epoch.
@@ -130,8 +146,16 @@ func (pl *Planner) Replan(now float64, avail Availability) Epoch {
 		}
 	}
 
+	if pl.idle(now, avail, local) {
+		// Appended fresh, so no scratch aliases the epoch; nil when empty,
+		// as the scan below leaves it.
+		ep.Unreachable = append([]bundle.FileID(nil), pl.unreachable...)
+		return ep
+	}
+
 	// Candidates: hot, not yet local, with a live source. The snapshot is
 	// in file-ID order, so the scan is deterministic and Unreachable sorted.
+	pl.heat = pl.pred.appendSnapshot(pl.heat[:0], now)
 	pl.emergencies, pl.normal = pl.emergencies[:0], pl.normal[:0]
 	for _, fh := range pl.heat {
 		f := fh.File
@@ -193,6 +217,87 @@ func (pl *Planner) Replan(now float64, avail Availability) Epoch {
 		ep.PlannedBytes += a.Size
 	}
 	return ep
+}
+
+// idle reports whether this epoch can plant nothing, deciding it before
+// the snapshot, the cost ranking, the risk test and the densities
+// (DESIGN.md §12.1). Every candidate, emergency or normal, is a hot,
+// non-local file with a live source, and neither fill takes one larger
+// than the budget left; when no such file fits, the epoch's actions are
+// empty in any order. idle walks the predictor's table in file-ID order,
+// as the scan does, and stops at the first such file that fits.
+// Otherwise it leaves in pl.unreachable exactly the files the scan would
+// report: hot, non-local and without a live source.
+func (pl *Planner) idle(now float64, avail Availability, local grid.SiteID) bool {
+	room := pl.cfg.Budget - pl.used
+	pl.classifySources(now, avail)
+	pl.unreachable = pl.unreachable[:0]
+	for i, s := range pl.pred.heat {
+		if !s.tracked || !pl.eligible(s, now) {
+			continue
+		}
+		f := bundle.FileID(i)
+		if pl.reps.Has(f, local) {
+			continue
+		}
+		size := pl.sizeOf(f)
+		if !pl.live(f, size) {
+			pl.unreachable = append(pl.unreachable, f)
+		} else if size <= room {
+			return false
+		}
+	}
+	return true
+}
+
+// classifySources records, for each site, whether it can serve as a
+// source this epoch. A source is live when it is up and its transfer cost
+// is finite (bestLiveSource over the ranking). The cost only grows with
+// the size, each float operation in it being monotone, so a site whose
+// cost is finite at the largest size is reachable at every size.
+func (pl *Planner) classifySources(now float64, avail Availability) {
+	pl.sources = pl.sources[:0]
+	for s := range pl.topo.NumSites() {
+		st := sourceDark
+		if avail == nil || avail.Up(s, now) {
+			st = sourceBySize
+			if !math.IsInf(pl.topo.TransferSeconds(grid.SiteID(s), math.MaxInt64), 1) {
+				st = sourceOpen
+			}
+		}
+		pl.sources = append(pl.sources, st)
+	}
+}
+
+// live reports whether some holder of f, of the given size, is a live
+// source under this epoch's classifySources, without ranking the holders.
+func (pl *Planner) live(f bundle.FileID, size bundle.Size) bool {
+	for _, s := range pl.reps.Holders(f) {
+		if uint(s) >= uint(len(pl.sources)) {
+			continue // not a site of the topology: its cost is +Inf
+		}
+		switch pl.sources[s] {
+		case sourceOpen:
+			return true
+		case sourceBySize:
+			if !math.IsInf(pl.topo.TransferSeconds(s, size), 1) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// eligible reports whether s passes the scan's heat tests at now: its
+// decayed heat is positive and, with RetireBelow set, not below it. Only
+// the hysteresis needs the decayed value; the sign alone is proved
+// without Exp2 where it can be (Predictor.hot).
+func (pl *Planner) eligible(s heatState, now float64) bool {
+	if pl.cfg.RetireBelow > 0 {
+		h := pl.pred.decayTo(s, now).heat
+		return !(h <= 0) && !(h < pl.cfg.RetireBelow)
+	}
+	return pl.pred.hot(s, now)
 }
 
 // plant records a planner-installed replica of f, growing the dense table

@@ -1,10 +1,12 @@
 package replicate
 
 import (
+	"reflect"
 	"testing"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/grid"
+	"fbcache/internal/mss"
 )
 
 // fakeAvail is a static availability view for planner tests.
@@ -143,5 +145,140 @@ func TestReplanEmergencyReplicatesAtRiskFiles(t *testing.T) {
 	ep = pl.Replan(2, fakeAvail{})
 	if ep.Emergency != 0 {
 		t.Errorf("calm epoch reported %d emergencies", ep.Emergency)
+	}
+}
+
+// twinPlanner runs a Planner and its map-and-sort reference over one
+// topology and two catalogs built alike, so every epoch can be held to
+// the reference (replan_reference_test.go).
+type twinPlanner struct {
+	topo          *grid.Topology
+	reps, refReps *grid.Replicas
+	pred          *Predictor
+	refPred       *predictorReference
+	pl            *Planner
+	ref           *plannerReference
+}
+
+// newTwinPlanner builds the local site and two remote ones, 1 and 2, both
+// linked. holders[f] lists the remote sites that hold file f; sizes[f] is
+// its size.
+func newTwinPlanner(t *testing.T, sizes []bundle.Size, holders [][]grid.SiteID, pcfg PredictorConfig, cfg PlannerConfig) *twinPlanner {
+	t.Helper()
+	topo, reps := testGrid(t, nil)
+	second, err := topo.AddSite("remote2", mss.Config{
+		Name: "tape", LatencySec: 10, BandwidthBps: 50e6, Channels: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.Connect(topo.Local(), second, grid.Link{LatencySec: 1, BandwidthBps: 20e6}); err != nil {
+		t.Fatal(err)
+	}
+	refReps := grid.NewReplicas()
+	for f, sites := range holders {
+		for _, s := range sites {
+			reps.Add(bundle.FileID(f), s)
+			refReps.Add(bundle.FileID(f), s)
+		}
+	}
+	sizeOf := func(f bundle.FileID) bundle.Size { return sizes[f] }
+	w := &twinPlanner{topo: topo, reps: reps, refReps: refReps,
+		pred: NewPredictor(pcfg), refPred: newPredictorReference(pcfg)}
+	if w.pl, err = NewPlanner(topo, reps, sizeOf, w.pred, cfg); err != nil {
+		t.Fatal(err)
+	}
+	w.ref = newPlannerReference(topo, refReps, sizeOf, w.refPred, cfg)
+	return w
+}
+
+func (w *twinPlanner) observe(now float64, f bundle.FileID, v float64) {
+	w.pred.Observe(now, bundle.New(f), v)
+	w.refPred.Observe(now, bundle.New(f), v)
+}
+
+// replan runs one epoch on both planners, requires deep-equal epochs and
+// catalogs, and reports whether the planner took the short path: idle
+// epochs leave the snapshot scratch, cleared here, untouched.
+func (w *twinPlanner) replan(t *testing.T, now float64, avail Availability) (Epoch, bool) {
+	t.Helper()
+	w.pl.heat = nil
+	got, want := w.pl.Replan(now, avail), w.ref.Replan(now, avail)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("epoch at %v\n got %+v\nwant %+v", now, got, want)
+	}
+	for f := range bundle.FileID(len(w.pl.planted) + 8) {
+		if got, want := w.reps.Sites(f), w.refReps.Sites(f); !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch at %v: catalog of file %d = %v, reference %v", now, f, got, want)
+		}
+	}
+	return got, w.pl.heat == nil
+}
+
+// TestReplanIdleEpochReportsUnreachable: once the budget is spent, an
+// epoch can plant nothing and takes the short path, which must still
+// report the hot file whose one holder is dark.
+func TestReplanIdleEpochReportsUnreachable(t *testing.T) {
+	w := newTwinPlanner(t,
+		[]bundle.Size{bundle.MB, bundle.MB, bundle.MB, bundle.MB},
+		[][]grid.SiteID{{1}, {1, 2}, {2}, {1}},
+		PredictorConfig{HalfLifeSec: 100}, PlannerConfig{Budget: 2 * bundle.MB, RiskHorizonSec: 30})
+	for f := range bundle.FileID(4) {
+		w.observe(0, f, float64(1+f))
+	}
+	dark := &fuzzAvail{down: []bool{false, false, true}, risky: []bool{false, false, true}}
+	ep, idle := w.replan(t, 1, dark)
+	if idle || len(ep.Actions) != 2 || w.pl.PlantedBytes() != 2*bundle.MB {
+		t.Fatalf("first epoch (idle %v) = %+v, want two plants filling the budget", idle, ep)
+	}
+	ep, idle = w.replan(t, 41, dark)
+	if !idle || len(ep.Actions) != 0 || !reflect.DeepEqual(ep.Unreachable, []bundle.FileID{2}) {
+		t.Fatalf("full-budget epoch (idle %v) = %+v, want the short path reporting file 2", idle, ep)
+	}
+	// With every site up nothing is unreachable, and Unreachable stays nil.
+	if ep, idle = w.replan(t, 81, nil); !idle || ep.Unreachable != nil {
+		t.Fatalf("calm full-budget epoch (idle %v) = %+v", idle, ep)
+	}
+}
+
+// TestReplanIdleEpochSkipsUnderflowedHeat: a tracked file whose decayed
+// heat underflows to exactly 0 is not hot, whether its heat was tiny or
+// its decay long (past the 512 half-lives within which the sign is proved
+// without Exp2), so the short path must not report it.
+func TestReplanIdleEpochSkipsUnderflowedHeat(t *testing.T) {
+	w := newTwinPlanner(t,
+		[]bundle.Size{bundle.MB, bundle.MB, bundle.MB},
+		[][]grid.SiteID{{2}, {2}, {2}},
+		PredictorConfig{HalfLifeSec: 1}, PlannerConfig{Budget: 0})
+	w.observe(0, 0, 1)         // 2^-1100 at 1100: underflows
+	w.observe(1000, 1, 1e-300) // 1e-300·2^-100 at 1100: underflows
+	w.observe(1000, 2, 1)      // 2^-100 at 1100: hot, decay proved
+	if h := w.pred.Heat(1100, 0) + w.pred.Heat(1100, 1); h != 0 {
+		t.Fatalf("test setup: heats sum to %v at 1100, want an underflow to 0", h)
+	}
+	dark := &fuzzAvail{down: []bool{false, false, true}, risky: []bool{false, false, true}}
+	ep, idle := w.replan(t, 1100, dark)
+	if !idle || !reflect.DeepEqual(ep.Unreachable, []bundle.FileID{2}) {
+		t.Fatalf("epoch (idle %v) = %+v, want the short path reporting file 2 only", idle, ep)
+	}
+}
+
+// TestReplanZeroSizeFileTakesFullPath: a zero-size hot file fits any
+// budget left, even none, so the epoch must take the full path — here it
+// is planted as an emergency ahead of its holder's outage.
+func TestReplanZeroSizeFileTakesFullPath(t *testing.T) {
+	w := newTwinPlanner(t,
+		[]bundle.Size{bundle.MB, 0},
+		[][]grid.SiteID{{1}, {1}},
+		PredictorConfig{HalfLifeSec: 100}, PlannerConfig{Budget: bundle.MB, RiskHorizonSec: 30})
+	w.observe(0, 0, 1)
+	if ep, idle := w.replan(t, 1, nil); idle || len(ep.Actions) != 1 {
+		t.Fatalf("first epoch (idle %v) = %+v, want file 0 planted", idle, ep)
+	}
+	w.observe(10, 1, 1)
+	risky := &fuzzAvail{down: []bool{false, false, false}, risky: []bool{false, true, false}}
+	ep, idle := w.replan(t, 41, risky)
+	if idle || ep.Emergency != 1 || len(ep.Actions) != 1 || ep.Actions[0].File != 1 {
+		t.Fatalf("full-budget epoch (idle %v) = %+v, want file 1 planted as an emergency", idle, ep)
 	}
 }

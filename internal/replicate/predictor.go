@@ -132,6 +132,18 @@ func (p *Predictor) Observe(now float64, b bundle.Bundle, value float64) {
 	}
 }
 
+// hot reports whether s's heat decayed to now is positive, computing the
+// decay only when its sign is not provable. A heat of at least 2^-500
+// decayed over at most 512 half-lives stays positive: decayTo's quotient
+// dt/HalfLifeSec is then at most 512, its Exp2 at least 2^-512, and the
+// product at least about 2^-1012, far above the smallest subnormal.
+func (p *Predictor) hot(s heatState, now float64) bool {
+	if s.heat >= 0x1p-500 && (now-s.last)/p.cfg.HalfLifeSec <= 512 {
+		return true
+	}
+	return !(p.decayTo(s, now).heat <= 0)
+}
+
 // Heat reports f's decayed heat as of now without mutating the predictor.
 func (p *Predictor) Heat(now float64, f bundle.FileID) float64 {
 	if int(f) >= len(p.heat) {
