@@ -29,10 +29,10 @@ test:
 test-invariant:
 	$(GO) test -tags fbinvariant ./...
 
-# lint = the stock vet suite plus fbvet, the repo-specific analyzers
-# (floateq, ndtaint, errflow, pkgdoc, the interprocedural concurrency suite
-# lockorder/guardedby/goroleak, and the performance checks hotcomplexity
-# and noescape/inline/nobce, which read a
+# lint = the stock vet suite (whose copylocks check catches a copied mutex)
+# plus fbvet, the repo-specific analyzers (floateq, ndtaint, errflow,
+# pkgdoc, goroleak, and the performance checks hotcomplexity and
+# noescape/inline/nobce, which read a
 # `go build -gcflags='-m -m -d=ssa/check_bce/debug=1'` sweep of the repo —
 # DESIGN.md §11). Both must be clean; findings are suppressed only by a
 # justified //fbvet:allow directive, and allowcheck flags directives that
@@ -58,10 +58,14 @@ fbvet:
 doc-lint:
 	$(GO) run ./cmd/fbvet -run pkgdoc ./...
 
-# race runs the full suite under the race detector, including the dedicated
-# concurrency tests in internal/srm and internal/store.
+# race runs the full suite under the race detector, including the
+# concurrent test of every struct with a mutex-guarded field (DESIGN.md
+# §10): an access outside the lock is a reported race. The whole run takes
+# about 80 s on a 2-vCPU host; -timeout 7m makes a deadlocked test (a lock
+# cycle, a re-acquired mutex) fail within minutes instead of at the 10m
+# default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 7m ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
@@ -196,10 +200,12 @@ fuzz:
 # the epoch re-planner running, and the determinism and bit-identity gates
 # for the resilience and replication layers. It then races the SRM's
 # unlocked store moves against its sequential model (the policy) under the
-# race detector, five times with fresh seeds.
+# race detector, five times with fresh seeds, under a 3m timeout (the five
+# runs take about 25 s on a 2-vCPU host), so a lock cycle between the SRM
+# and its store fails the soak instead of hanging it.
 soak:
 	$(GO) test -tags fbinvariant ./internal/simulate/ -run 'TestFaultSoak|TestFaultSoakChurnCorrelated|TestFaultsDeterministic|TestFaultsZeroScenarioBitIdentical|TestReplicationDeterministic|TestReplicationZeroBudgetBitIdentical' -v
-	$(GO) test -race -tags fbinvariant -count 5 ./internal/srm/ -run 'TestStoreModelConcurrent' -v
+	$(GO) test -race -tags fbinvariant -count 5 -timeout 3m ./internal/srm/ -run 'TestStoreModelConcurrent' -v
 
 # lines prints the non-test Go line count outside bench/ — the per-change
 # size figure ROADMAP.md tracks.

@@ -55,7 +55,6 @@ func TestSpansSubcommand(t *testing.T) {
 	}
 	rec := span.New(span.Options{
 		SlowThreshold: time.Nanosecond, // everything is anomalous
-		SampleEvery:   1 << 62,
 		Dump:          sink,
 		DumpCloser:    closer,
 	})

@@ -46,7 +46,7 @@ func runAllowCheck(pass *Pass) {
 					continue
 				}
 				if !slices.Contains(funcDirectiveNames(), name) {
-					pass.Reportf(c.Pos(), "unknown fbvet directive //fbvet:%s (known: allow, guardedby, %s)",
+					pass.Reportf(c.Pos(), "unknown fbvet directive //fbvet:%s (known: allow, %s)",
 						name, strings.Join(funcDirectiveNames(), ", "))
 					continue
 				}
@@ -74,8 +74,7 @@ func funcDocGroups(f *ast.File) map[*ast.CommentGroup]bool {
 }
 
 // fbvetDirectiveName extracts <name> from a comment that IS an "//fbvet:<name>"
-// directive other than allow (directiveTail handles it) and guardedby (a
-// field-level directive the guardedby analyzer owns). Prose merely mentioning
+// directive other than allow (directiveTail handles it). Prose merely mentioning
 // the syntax mid-sentence does not count: the marker must lead the comment.
 func fbvetDirectiveName(comment string) (string, bool) {
 	body := strings.TrimPrefix(strings.TrimPrefix(comment, "//"), "/*")
@@ -89,7 +88,7 @@ func fbvetDirectiveName(comment string) (string, bool) {
 		name = name[:i]
 	}
 	name = strings.TrimSuffix(name, "*/")
-	if name == "" || name == "allow" || name == "guardedby" {
+	if name == "" || name == "allow" {
 		return "", false
 	}
 	return name, true

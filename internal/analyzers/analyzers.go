@@ -15,12 +15,6 @@
 //   - pkgdoc: every package must carry a package documentation comment
 //     (opening "Package <name>" for library packages) stating the paper
 //     section it implements and its pipeline role.
-//   - lockorder: the lock-acquisition graph (followed through in-package
-//     helper calls, see summary.go) must be acyclic — a cycle is a
-//     potential deadlock — and no mutex may be re-acquired while held.
-//   - guardedby: fields annotated //fbvet:guardedby mu may only be touched
-//     with mu held on the same object, never written under RLock, and the
-//     annotated struct must not be copied.
 //   - goroleak: goroutines spawned in loops need a WaitGroup bound or a
 //     cancellation path; timers and tickers need a reachable Stop.
 //   - hotcomplexity: no full re-sort inside a loop or inside a
@@ -33,6 +27,10 @@
 //     (manifest.go) pins which hot-path functions must carry which contract.
 //   - allowcheck: every //fbvet:allow directive must carry a justification,
 //     name real analyzers, and actually suppress something.
+//
+// Lock discipline is not checked here: go vet's copylocks catches copied
+// mutexes, and the -race concurrent tests of every lock-guarded struct catch
+// unguarded accesses (DESIGN.md §10).
 //
 // The suite runs over packages type-checked with the standard library's
 // go/parser + go/types (loaded via `go list -export`, see load.go), so it
@@ -126,13 +124,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// All returns the full fbvet suite: the per-file AST checks, the
-// flow-sensitive dataflow analyzers (ndtaint, errflow — see dataflow.go),
-// the interprocedural concurrency suite (lockorder, guardedby, goroleak —
-// see summary.go), the performance checks (hotcomplexity and the contract
-// analyzers), and the allow-directive self-check.
+// All returns the full fbvet suite: the per-file AST checks (floateq,
+// pkgdoc, goroleak), the flow-sensitive dataflow analyzers (ndtaint,
+// errflow — see dataflow.go), the performance checks (hotcomplexity and the
+// contract analyzers), and the allow-directive self-check.
 func All() []*Analyzer {
-	suite := []*Analyzer{FloatEq, NDTaint, ErrFlow, PkgDoc, LockOrder, GuardedBy, GoroLeak, HotComplexity}
+	suite := []*Analyzer{FloatEq, NDTaint, ErrFlow, PkgDoc, GoroLeak, HotComplexity}
 	suite = append(suite, contractAnalyzers()...)
 	return append(suite, AllowCheck)
 }

@@ -169,8 +169,6 @@ func TestNDTaintGolden(t *testing.T)    { runGolden(t, NDTaint) }
 func TestErrFlowGolden(t *testing.T)    { runGolden(t, ErrFlow) }
 func TestAllowCheckGolden(t *testing.T) { runGolden(t, AllowCheck) }
 func TestPkgDocGolden(t *testing.T)     { runGolden(t, PkgDoc) }
-func TestLockOrderGolden(t *testing.T)  { runGolden(t, LockOrder) }
-func TestGuardedByGolden(t *testing.T)  { runGolden(t, GuardedBy) }
 func TestGoroLeakGolden(t *testing.T)   { runGolden(t, GoroLeak) }
 
 // TestPkgDocPrefix checks the convention half of pkgdoc: a package whose

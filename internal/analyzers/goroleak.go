@@ -17,9 +17,9 @@ package analyzers
 //     Stop is the usual shape) nor escapes to an owner who could stop it.
 //
 // "A Stop call anywhere in the function" is a deliberate approximation of
-// the ISSUE's "Stop on every exit path": the walker-level path analysis
-// would add little here because the dominant bug is the wholly missing
-// Stop, and a conditional Stop is nearly always a deliberate handoff.
+// "Stop on every exit path": a path-sensitive analysis would add little
+// here because the dominant bug is the wholly missing Stop, and a
+// conditional Stop is nearly always a deliberate handoff.
 
 import (
 	"go/ast"
@@ -167,7 +167,7 @@ func checkTimers(pass *Pass, body *ast.BlockStmt) {
 		case *ast.AssignStmt:
 			if len(x.Lhs) == len(x.Rhs) {
 				for i := range x.Lhs {
-					rhs := unparen(x.Rhs[i])
+					rhs := ast.Unparen(x.Rhs[i])
 					call, ok := rhs.(*ast.CallExpr)
 					if !ok {
 						continue

@@ -60,3 +60,9 @@ var notAFunc = 7
 // A misspelled directive is a dead annotation hiding behind a typo.
 /*fbvet:noescap*/ // want "unknown fbvet directive"
 func Typo() {}
+
+// guardedby is not a directive: guarded fields say "guarded by mu" in
+// prose, and -race tests witness them.
+type guarded struct {
+	n int /*fbvet:guardedby mu*/ // want "unknown fbvet directive"
+}

@@ -18,13 +18,13 @@ type Catalog struct {
 	// SizeFunc reads on every selection round — then run lock-free on the
 	// immutable snapshot, which profiling showed removes the RWMutex from
 	// the admission hot path entirely. It is atomically self-synchronized,
-	// so it carries no //fbvet:guardedby annotation.
+	// so mu does not guard it.
 	snap atomic.Pointer[[]Size]
 
 	mu    sync.RWMutex
-	names []string          //fbvet:guardedby mu
-	sizes []Size            //fbvet:guardedby mu
-	index map[string]FileID //fbvet:guardedby mu
+	names []string          // guarded by mu
+	sizes []Size            // guarded by mu
+	index map[string]FileID // guarded by mu
 }
 
 // NewCatalog returns an empty catalog.

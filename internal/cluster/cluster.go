@@ -35,7 +35,7 @@ type Sharded struct {
 
 	mu sync.Mutex
 	// scratch reused across admissions to avoid per-call allocation.
-	shards [][]bundle.FileID //fbvet:guardedby mu
+	shards [][]bundle.FileID // guarded by mu
 }
 
 // New builds a sharded cache with `nodes` node-local policies created by

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sync"
 	"testing"
 
 	"fbcache/internal/bundle"
@@ -68,6 +69,41 @@ func TestAdmitSplitsAcrossNodes(t *testing.T) {
 	}
 	if s.Used() != 4 {
 		t.Errorf("Used = %d", s.Used())
+	}
+}
+
+// TestConcurrentAdmit admits overlapping bundles from several goroutines.
+// Admit serializes them on s.mu: the shard scratch and the node policies are
+// single-goroutine state, so under -race an admission outside the lock is a
+// reported data race.
+func TestConcurrentAdmit(t *testing.T) {
+	const files, nodes = 32, 4
+	s, err := New(40, nodes, unit, optFactory(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, iters = 4, 200
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				b := bundle.New(bundle.FileID((g+i)%files), bundle.FileID((3*g+7*i)%files),
+					bundle.FileID((g*i)%files))
+				if res := s.Admit(b); res.Unserviceable {
+					t.Errorf("worker %d: %v unserviceable on %d-file nodes", g, b, 40/nodes)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	if used := s.Used(); used > 40 {
+		t.Errorf("used %d > capacity 40", used)
 	}
 }
 

@@ -63,14 +63,14 @@ type Manager struct {
 	cfg     Config
 
 	mu      sync.Mutex
-	cond    *sync.Cond    //fbvet:guardedby mu
-	pending []*pendingJob //fbvet:guardedby mu
-	closed  bool          //fbvet:guardedby mu
+	cond    *sync.Cond    // guarded by mu
+	pending []*pendingJob // guarded by mu
+	closed  bool          // guarded by mu
 	wg      sync.WaitGroup
 
-	submitted int64 //fbvet:guardedby mu
-	completed int64 //fbvet:guardedby mu
-	failed    int64 //fbvet:guardedby mu
+	submitted int64 // guarded by mu
+	completed int64 // guarded by mu
+	failed    int64 // guarded by mu
 }
 
 // NewManager starts a manager over the given SRM.

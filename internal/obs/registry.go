@@ -87,7 +87,7 @@ type metric struct {
 // lock-free. The registry never reads the wall clock.
 type Registry struct {
 	mu      sync.RWMutex
-	metrics map[string]*metric //fbvet:guardedby mu
+	metrics map[string]*metric // guarded by mu
 }
 
 // NewRegistry returns an empty registry.

@@ -36,8 +36,8 @@ type Record struct {
 // never have to check.
 type JSONLSink struct {
 	mu  sync.Mutex
-	enc *json.Encoder //fbvet:guardedby mu
-	err error         //fbvet:guardedby mu
+	enc *json.Encoder // guarded by mu
+	err error         // guarded by mu
 }
 
 // NewJSONLSink wraps w. The caller owns w's lifecycle (flush/close).

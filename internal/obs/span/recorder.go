@@ -32,21 +32,9 @@ func (s Span) Event() obs.SpanEvent {
 // Options configures a Recorder. The zero value is usable: every field has
 // a production default.
 type Options struct {
-	// Stripes is the number of independent ring/lock pairs; rounded up to a
-	// power of two. Default 8. All spans of one request hash to one stripe,
-	// so promotion never crosses stripe locks.
-	Stripes int
-	// PerStripe is each stripe's ring capacity, for both the recent ring
-	// (all finished spans) and the kept ring (promoted requests).
-	// Default 256 spans.
-	PerStripe int
 	// SlowThreshold is the root duration at or above which a request is an
 	// anomaly, kept at full fidelity and dumped. Default 100ms.
 	SlowThreshold time.Duration
-	// SampleEvery keeps every N-th healthy request (head sampling by
-	// request ID) so the flight recorder always holds baseline traffic, not
-	// just anomalies. Default 16; 1 keeps everything.
-	SampleEvery uint64
 	// Dump receives every span of an anomalous request, root last, after
 	// the request is promoted. Typically a JSONL sink (see FileDump). Dump
 	// methods are called without any recorder lock held.
@@ -112,10 +100,10 @@ func (r *spanRing) take(req RequestID, dst []Span) []Span {
 // lock — in particular not the dump sink's — while holding it.
 type stripe struct {
 	mu      sync.Mutex
-	recent  spanRing //fbvet:guardedby mu
-	kept    spanRing //fbvet:guardedby mu
-	scratch []Span   //fbvet:guardedby mu
-	dropped int64    //fbvet:guardedby mu
+	recent  spanRing // guarded by mu
+	kept    spanRing // guarded by mu
+	scratch []Span   // guarded by mu
+	dropped int64    // guarded by mu
 }
 
 // Recorder is an always-on flight recorder for request spans. Finished
@@ -154,9 +142,9 @@ type Recorder struct {
 	// — except that the dump sink's own lock nests inside it, which is fine:
 	// nothing else ever holds a sink lock first.
 	dumpMu   sync.Mutex
-	dump     obs.Tracer //fbvet:guardedby dumpMu
-	closed   bool       //fbvet:guardedby dumpMu
-	closeErr error      //fbvet:guardedby dumpMu
+	dump     obs.Tracer // guarded by dumpMu
+	closed   bool       // guarded by dumpMu
+	closeErr error      // guarded by dumpMu
 }
 
 // Latency histogram layout: 50µs · 2^k for 24 buckets reaches ~7 minutes,
@@ -168,36 +156,40 @@ const (
 	latBuckets = 24
 )
 
+// The recorder's layout: stripes independent ring/lock pairs (all spans of
+// one request hash to one stripe, so promotion never crosses stripe locks),
+// each with a recent ring of finished spans and a kept ring of promoted
+// requests, perStripe spans each. Every sampleEvery-th healthy request is
+// kept (head sampling by request ID), so the flight recorder always holds
+// baseline traffic, not just anomalies.
+const (
+	stripes     = 8
+	perStripe   = 256
+	sampleEvery = 16
+)
+
 // New builds a recorder. See Options for defaults.
-func New(o Options) *Recorder {
-	if o.Stripes <= 0 {
-		o.Stripes = 8
-	}
-	n := 1
-	for n < o.Stripes {
-		n <<= 1
-	}
-	if o.PerStripe <= 0 {
-		o.PerStripe = 256
-	}
+func New(o Options) *Recorder { return newRecorder(o, stripes, perStripe, sampleEvery) }
+
+// newRecorder is New with an explicit layout: n stripes (a power of two)
+// of ring spans each, keeping every every-th healthy request. Tests shrink
+// the rings and pin the sampling with it.
+func newRecorder(o Options, n, ring int, every uint64) *Recorder {
 	if o.SlowThreshold <= 0 {
 		o.SlowThreshold = 100 * time.Millisecond
-	}
-	if o.SampleEvery == 0 {
-		o.SampleEvery = 16
 	}
 	r := &Recorder{
 		epoch:       time.Now(),
 		slowNs:      o.SlowThreshold.Nanoseconds(),
-		sampleEvery: o.SampleEvery,
+		sampleEvery: every,
 		dump:        o.Dump,
 		closer:      o.DumpCloser,
 		mask:        uint64(n - 1),
 		stripes:     make([]stripe, n),
 	}
 	for i := range r.stripes {
-		r.stripes[i].recent.buf = make([]Span, o.PerStripe)
-		r.stripes[i].kept.buf = make([]Span, o.PerStripe)
+		r.stripes[i].recent.buf = make([]Span, ring)
+		r.stripes[i].kept.buf = make([]Span, ring)
 	}
 	// OpNone gets a histogram too — never exported, but a span started with
 	// it (e.g. an unclassifiable wire op) must not crash the recorder.

@@ -5,17 +5,25 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fbcache/internal/obs"
 )
 
+// neverSample turns head sampling off, so only anomalies are kept.
+const neverSample = 1 << 62
+
 // slowOpts makes every request anomalous (SlowThreshold 1ns) so tests can
 // rely on promotion without sleeping.
 func slowOpts() Options {
-	return Options{Stripes: 2, PerStripe: 32, SlowThreshold: time.Nanosecond, SampleEvery: 1 << 62}
+	return Options{SlowThreshold: time.Nanosecond}
 }
+
+// newSlow is a small recorder (2 stripes of 32 spans, no head sampling)
+// under o, typically slowOpts.
+func newSlow(o Options) *Recorder { return newRecorder(o, 2, 32, neverSample) }
 
 // serveOne runs one synthetic request through rec: a root with a wait and
 // an admit leg, finishing with err.
@@ -38,7 +46,7 @@ func serveOne(rec *Recorder, ctx Context, err ErrCode) RequestID {
 type spanLog struct {
 	obs.NopTracer
 	mu    sync.Mutex
-	spans []obs.SpanEvent //fbvet:guardedby mu
+	spans []obs.SpanEvent // guarded by mu
 }
 
 func (l *spanLog) Span(e obs.SpanEvent) {
@@ -57,7 +65,7 @@ func TestAnomalousRequestPromotedAndDumped(t *testing.T) {
 	dump := &spanLog{}
 	o := slowOpts()
 	o.Dump = dump
-	rec := New(o)
+	rec := newSlow(o)
 
 	req := serveOne(rec, Context{}, ErrNone) // slow (threshold 1ns) → anomalous
 
@@ -105,7 +113,7 @@ func TestAnomalousRequestPromotedAndDumped(t *testing.T) {
 }
 
 func TestErrorRequestIsAnomalous(t *testing.T) {
-	rec := New(Options{SlowThreshold: time.Hour, SampleEvery: 1 << 62})
+	rec := newRecorder(Options{SlowThreshold: time.Hour}, stripes, perStripe, neverSample)
 	serveOne(rec, Context{}, ErrBusy)
 	if c := rec.Counters(); c.Anomalies != 1 || c.Kept != 1 {
 		t.Errorf("counters = %+v, want the errored request promoted", c)
@@ -120,7 +128,7 @@ func TestErrorRequestIsAnomalous(t *testing.T) {
 }
 
 func TestHeadSamplingKeepsEveryNth(t *testing.T) {
-	rec := New(Options{Stripes: 1, PerStripe: 512, SlowThreshold: time.Hour, SampleEvery: 4})
+	rec := newRecorder(Options{SlowThreshold: time.Hour}, 1, 512, 4)
 	for i := 0; i < 16; i++ {
 		serveOne(rec, Context{}, ErrNone)
 	}
@@ -168,7 +176,7 @@ func TestDisabledPathIsNoOp(t *testing.T) {
 
 	// An enabled recorder with no request context is equally silent: legs
 	// outside a request trace nothing.
-	live := New(slowOpts())
+	live := newSlow(slowOpts())
 	c2 := live.StartChild(Context{}, OpStageAdmit)
 	if c2.OK() {
 		t.Fatal("StartChild under the zero Context is live")
@@ -180,7 +188,7 @@ func TestDisabledPathIsNoOp(t *testing.T) {
 }
 
 func TestAdoptRequestRelabelsRoot(t *testing.T) {
-	rec := New(slowOpts())
+	rec := newSlow(slowOpts())
 	root := rec.StartRequest(Context{}, OpRPCStage)
 	root.AdoptRequest(77)
 	root.Finish(ErrNone)
@@ -191,7 +199,7 @@ func TestAdoptRequestRelabelsRoot(t *testing.T) {
 }
 
 func TestContextPropagation(t *testing.T) {
-	rec := New(slowOpts())
+	rec := newSlow(slowOpts())
 	// A request continuing a wire context keeps the upstream request ID and
 	// parents under the upstream span.
 	root := rec.StartRequest(Context{Req: 5, Parent: 99}, OpStage)
@@ -210,10 +218,7 @@ func TestContextPropagation(t *testing.T) {
 }
 
 func TestRingOverwriteCountsDropped(t *testing.T) {
-	o := slowOpts()
-	o.Stripes = 1
-	o.PerStripe = 4
-	rec := New(o)
+	rec := newRecorder(slowOpts(), 1, 4, neverSample)
 	for i := 0; i < 12; i++ {
 		serveOne(rec, Context{}, ErrNone) // 3 spans per request, ring holds 4
 	}
@@ -223,7 +228,7 @@ func TestRingOverwriteCountsDropped(t *testing.T) {
 }
 
 func TestRetryCounter(t *testing.T) {
-	rec := New(slowOpts())
+	rec := newSlow(slowOpts())
 	rec.Retry(OpRPCStage)
 	rec.Retry(OpRPCStage)
 	reg := obs.NewRegistry()
@@ -235,7 +240,7 @@ func TestRetryCounter(t *testing.T) {
 }
 
 func TestExportTo(t *testing.T) {
-	rec := New(slowOpts())
+	rec := newSlow(slowOpts())
 	reg := obs.NewRegistry()
 	rec.ExportTo(reg)
 
@@ -275,7 +280,7 @@ func TestFileDumpFlushOnClose(t *testing.T) {
 	}
 	o := slowOpts()
 	o.Dump, o.DumpCloser = sink, closer
-	rec := New(o)
+	rec := newSlow(o)
 
 	serveOne(rec, Context{}, ErrNone)
 
@@ -318,7 +323,7 @@ func TestFileDumpFlushOnClose(t *testing.T) {
 }
 
 func TestConcurrentRequests(t *testing.T) {
-	rec := New(Options{Stripes: 4, PerStripe: 128, SlowThreshold: time.Nanosecond, Dump: &spanLog{}})
+	rec := newRecorder(Options{SlowThreshold: time.Nanosecond, Dump: &spanLog{}}, 4, 128, sampleEvery)
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -354,6 +359,53 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
+// closeCount counts Close calls.
+type closeCount struct{ n atomic.Int32 }
+
+func (c *closeCount) Close() error { c.n.Add(1); return nil }
+
+// TestCloseRacesDumps closes the recorder while anomalous requests are
+// being dumped. dumpMu orders every dump against Close, so under -race the
+// dump-sink handoff and the close bookkeeping are checked; after Close no
+// span reaches the sink, and the closer runs once.
+func TestCloseRacesDumps(t *testing.T) {
+	sink, closer := &spanLog{}, &closeCount{}
+	rec := newSlow(Options{SlowThreshold: time.Nanosecond, Dump: sink, DumpCloser: closer})
+	const workers, perWorker = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				serveOne(rec, Context{}, ErrNone)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := rec.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	wg.Wait()
+	dumped := len(sink.events())
+	serveOne(rec, Context{}, ErrNone)
+	if err := rec.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if got := len(sink.events()); got != dumped {
+		t.Errorf("dump sink got %d spans after Close", got-dumped)
+	}
+	if n := closer.n.Load(); n != 1 {
+		t.Errorf("closer ran %d times, want 1", n)
+	}
+	if c := rec.Counters(); c.Requests != workers*perWorker+1 {
+		t.Errorf("requests = %d, want %d", c.Requests, workers*perWorker+1)
+	}
+}
+
 // BenchmarkSpanDisabled is the CI-gated proof that spans cost nothing when
 // off: the full instrumentation shape — request root, two child legs,
 // attributes, contexts — against a nil recorder must be 0 allocs/op.
@@ -376,7 +428,7 @@ func BenchmarkSpanDisabled(b *testing.B) {
 // BenchmarkSpanEnabled is the recording path: healthy unsampled requests
 // (ring push only — the steady state under load).
 func BenchmarkSpanEnabled(b *testing.B) {
-	rec := New(Options{SlowThreshold: time.Hour, SampleEvery: 1 << 62})
+	rec := newRecorder(Options{SlowThreshold: time.Hour}, stripes, perStripe, neverSample)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -395,7 +447,7 @@ func BenchmarkSpanEnabled(b *testing.B) {
 // BenchmarkSpanPromoted is the sampled path: every request promoted to the
 // kept ring (no dump sink attached).
 func BenchmarkSpanPromoted(b *testing.B) {
-	rec := New(Options{SlowThreshold: time.Hour, SampleEvery: 1})
+	rec := newRecorder(Options{SlowThreshold: time.Hour}, stripes, perStripe, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -63,7 +63,7 @@ func TestTreesSelfParentDoesNotCycle(t *testing.T) {
 }
 
 func TestFlightHandler(t *testing.T) {
-	rec := New(Options{Stripes: 1, PerStripe: 64, SlowThreshold: time.Nanosecond, SampleEvery: 1 << 62})
+	rec := newRecorder(Options{SlowThreshold: time.Nanosecond}, 1, 64, neverSample)
 	serveOne(rec, Context{}, ErrBusy)
 
 	rr := httptest.NewRecorder()
@@ -107,7 +107,7 @@ func TestFlightHandlerNilRecorder(t *testing.T) {
 }
 
 func TestSpanEventRoundTripsThroughRecorder(t *testing.T) {
-	rec := New(slowOpts())
+	rec := newSlow(slowOpts())
 	serveOne(rec, Context{}, ErrStore)
 	for _, s := range rec.Kept() {
 		e := s.Event()

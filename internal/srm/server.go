@@ -85,10 +85,10 @@ type Server struct {
 	ln  net.Listener
 
 	mu      sync.Mutex
-	closed  bool              //fbvet:guardedby mu
-	conns   map[net.Conn]bool //fbvet:guardedby mu
-	closers []io.Closer       //fbvet:guardedby mu — see CloseOnShutdown
-	flushed bool              //fbvet:guardedby mu
+	closed  bool              // guarded by mu
+	conns   map[net.Conn]bool // guarded by mu
+	closers []io.Closer       // guarded by mu; see CloseOnShutdown
+	flushed bool              // guarded by mu
 	wg      sync.WaitGroup    // one count per live connection handler; internally synchronized
 }
 
@@ -364,8 +364,8 @@ type Client struct {
 	// WithSpans, which must precede concurrent use (like srm.WithSpans).
 	rec *span.Recorder
 	mu  sync.Mutex
-	in  *wireReader //fbvet:guardedby mu
-	out []byte      //fbvet:guardedby mu — the request line being sent
+	in  *wireReader // guarded by mu
+	out []byte      // guarded by mu; the request line being sent
 }
 
 // WithSpans attaches a flight recorder to the client: every round trip

@@ -336,6 +336,50 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestSharedClientConcurrent shares one Client across goroutines. c.mu
+// serializes its round trips, so one goroutine's request and response never
+// interleave with another's on the wire; under -race the shared request
+// buffer and wire reader are checked too. The cache holds every file, so no
+// stage waits on another goroutine's pins.
+func TestSharedClientConcurrent(t *testing.T) {
+	srv, s := startServer(t, 1000)
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 8; i++ {
+		if err := c.AddFile(fileName(i), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const workers, iters = 4, 25
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				token, _, _, err := c.Stage(fileName((g+i)%8), fileName((g+i+1)%8))
+				if err != nil {
+					t.Errorf("stage: %v", err)
+					return
+				}
+				if err := c.Release(token); err != nil {
+					t.Errorf("release %s: %v", token, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Jobs != workers*iters || st.PinnedBytes != 0 || st.ActiveJobs != 0 {
+		t.Errorf("after %d shared-client jobs: %+v", workers*iters, st)
+	}
+}
+
 func fileName(i int) string {
 	return string(rune('a'+i%26)) + "file"
 }

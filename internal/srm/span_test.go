@@ -32,7 +32,7 @@ func startSpanServer(t *testing.T, capacity bundle.Size, o span.Options) (*Serve
 
 // keepAll makes every request anomalous so tests never miss a span.
 func keepAll() span.Options {
-	return span.Options{SlowThreshold: time.Nanosecond, SampleEvery: 1 << 62}
+	return span.Options{SlowThreshold: time.Nanosecond}
 }
 
 func TestWireSpansEndToEnd(t *testing.T) {

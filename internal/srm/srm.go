@@ -35,25 +35,25 @@ var ErrBusy = errors.New("srm: busy: staging deadline exceeded")
 // SRM is a thread-safe staging service over a replacement policy.
 type SRM struct {
 	// Immutable after New: cat is internally synchronized and sizeOf is a
-	// pure function, so neither needs mu. The fields annotated
-	// //fbvet:guardedby mu do; the rest synchronize themselves.
+	// pure function, so neither needs mu. The fields marked "guarded by
+	// mu" do; the rest synchronize themselves.
 	cat    *bundle.Catalog
 	sizeOf bundle.SizeFunc
 
 	mu   sync.Mutex
-	cond *sync.Cond    //fbvet:guardedby mu
-	pol  policy.Policy //fbvet:guardedby mu
+	cond *sync.Cond    // guarded by mu
+	pol  policy.Policy // guarded by mu
 
-	pinnedBytes bundle.Size        //fbvet:guardedby mu
-	active      int                //fbvet:guardedby mu
-	waiting     int                //fbvet:guardedby mu
-	closed      bool               //fbvet:guardedby mu
-	col         metrics.Collector  //fbvet:guardedby mu
-	res         metrics.Resilience //fbvet:guardedby mu
+	pinnedBytes bundle.Size        // guarded by mu
+	active      int                // guarded by mu
+	waiting     int                // guarded by mu
+	closed      bool               // guarded by mu
+	col         metrics.Collector  // guarded by mu
+	res         metrics.Resilience // guarded by mu
 	// store is the optional file store (WithStore). Stages read it under mu
 	// and use it after unlocking: only Stamp/Intent (the store's map lock)
 	// run under mu, never a file's lock or its I/O.
-	store *store.Store //fbvet:guardedby mu
+	store *store.Store // guarded by mu
 
 	// reqBytes records the requested size of every Stage call (including
 	// unserviceable ones). The histogram is atomic internally, so it is
@@ -68,11 +68,11 @@ type SRM struct {
 	// (the recorder's stripe locks are leaves under mu — DESIGN.md §10);
 	// the store leg runs after mu is released, through a copy of rec taken
 	// under it.
-	rec *span.Recorder //fbvet:guardedby mu
+	rec *span.Recorder // guarded by mu
 
 	// stageTimeout bounds how long one Stage may block waiting for pinned
 	// capacity; 0 means wait forever. See WithStageTimeout.
-	stageTimeout time.Duration //fbvet:guardedby mu
+	stageTimeout time.Duration // guarded by mu
 }
 
 // New builds an SRM over the given policy and catalog. The catalog provides

@@ -48,7 +48,7 @@ type Store struct {
 	source Source
 
 	mu    sync.Mutex
-	files map[bundle.FileID]*entry //fbvet:guardedby mu
+	files map[bundle.FileID]*entry // guarded by mu
 }
 
 // Gen orders the operations on one file: a later intent gets a larger
@@ -61,11 +61,11 @@ type entry struct {
 	intent atomic.Uint64
 
 	mu       sync.Mutex  // serializes stage/remove of one file
-	path     string      //fbvet:guardedby mu
-	gen      Gen         //fbvet:guardedby mu — generation of the last applied Stage or Remove
-	size     bundle.Size //fbvet:guardedby mu
-	checksum uint32      //fbvet:guardedby mu
-	present  bool        //fbvet:guardedby mu
+	path     string      // guarded by mu
+	gen      Gen         // guarded by mu; generation of the last applied Stage or Remove
+	size     bundle.Size // guarded by mu
+	checksum uint32      // guarded by mu
+	present  bool        // guarded by mu
 }
 
 // New creates (or reuses) a store rooted at dir, fetching misses from
